@@ -32,7 +32,7 @@ from .errors import (
     SpanMeetsAxisError,
     WrongPrimeError,
 )
-from .group import element_row, in_integer_axis, is_member, purify, row_element
+from .group import element_row, in_integer_axis, is_member, purify, row_element, saturation_kernel
 from .vectors import FinVec, GroupElement, min_valuation
 
 
@@ -46,6 +46,30 @@ class CheckOutcome:
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "reason": self.reason, "fingerprint": FINGERPRINT}
+
+
+def _json_object(data, kind: str, required: set) -> None:
+    if not isinstance(data, dict) or set(data) != required:
+        raise ValueError(f"{kind} must be a JSON object with exactly the keys {sorted(required)}")
+
+
+def _json_int(value, name: str) -> int:
+    # bool is an int subclass; floats and numeric strings are not integers
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_list(value, name: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ValueError(f"{name} must be a JSON array" + ("" if length is None else f" of length {length}"))
+    return value
+
+
+def _json_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a JSON string, got {value!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,17 +93,14 @@ class DivisibilityWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "DivisibilityWitness":
-        required = {"p", "a_int", "d", "z", "bezout", "fingerprint"}
-        if set(data) != required:
-            raise ValueError(f"witness keys must be exactly {sorted(required)}")
-        a, b = data["bezout"]
+        _json_object(data, "witness", {"p", "a_int", "d", "z", "bezout", "fingerprint"})
         return cls(
-            p=int(data["p"]),
-            a_int=int(data["a_int"]),
-            d=int(data["d"]),
+            p=_json_int(data["p"], "p"),
+            a_int=_json_int(data["a_int"], "a_int"),
+            d=_json_int(data["d"], "d"),
             z=GroupElement.from_json(data["z"]),
-            bezout=(int(a), int(b)),
-            fingerprint=str(data["fingerprint"]),
+            bezout=tuple(_json_int(v, "bezout") for v in _json_list(data["bezout"], "bezout", 2)),
+            fingerprint=_json_str(data["fingerprint"], "fingerprint"),
         )
 
 
@@ -164,15 +185,14 @@ class BadPrimeRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "BadPrimeRecord":
-        required = {"p", "selected", "Z", "m", "r"}
-        if set(data) != required:
-            raise ValueError(f"bad-prime record keys must be exactly {sorted(required)}")
+        _json_object(data, "bad-prime record", {"p", "selected", "Z", "m", "r"})
         return cls(
-            p=int(data["p"]),
-            selected=tuple(int(i) for i in data["selected"]),
-            z_rows=tuple(tuple(parse_rational(v) for v in row) for row in data["Z"]),
-            m=int(data["m"]),
-            r=int(data["r"]),
+            p=_json_int(data["p"], "p"),
+            selected=tuple(_json_int(i, "selected") for i in _json_list(data["selected"], "selected")),
+            z_rows=tuple(tuple(parse_rational(v) for v in _json_list(row, "Z row"))
+                         for row in _json_list(data["Z"], "Z")),
+            m=_json_int(data["m"], "m"),
+            r=_json_int(data["r"], "r"),
         )
 
 
@@ -208,17 +228,16 @@ class FreenessCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FreenessCertificate":
-        required = {"lambda", "index", "k", "good_params", "bad_primes", "D", "basis", "fingerprint"}
-        if set(data) != required:
-            raise ValueError(f"certificate keys must be exactly {sorted(required)}")
+        _json_object(data, "certificate",
+                     {"lambda", "index", "k", "good_params", "bad_primes", "D", "basis", "fingerprint"})
         return cls(
             lam=FinVec.from_json(data["lambda"]),
-            index=int(data["index"]),
-            k=int(data["k"]),
-            bad=tuple(BadPrimeRecord.from_json(rec) for rec in data["bad_primes"]),
-            D=int(data["D"]),
-            basis=tuple(GroupElement.from_json(e) for e in data["basis"]),
-            fingerprint=str(data["fingerprint"]),
+            index=_json_int(data["index"], "index"),
+            k=_json_int(data["k"], "k"),
+            bad=tuple(BadPrimeRecord.from_json(rec) for rec in _json_list(data["bad_primes"], "bad_primes")),
+            D=_json_int(data["D"], "D"),
+            basis=tuple(GroupElement.from_json(e) for e in _json_list(data["basis"], "basis")),
+            fingerprint=_json_str(data["fingerprint"], "fingerprint"),
         )
 
 
@@ -375,6 +394,13 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
         for idx, row in enumerate(gen_rows):
             if not lattice.contains(row):
                 return CheckOutcome(False, f"generator {idx} is not an integer combination of the basis")
+        if not all(lattice.contains(row) for row in linalg.integer_span_points(gen_rows, k + 1)):
+            return CheckOutcome(False, "basis misses an integer point of the generator span")
+        # with the integer points inside, denominators dividing D and saturation
+        # at every prime of D, the basis spans exactly purify(gens, bound=D)
+        for q in prime_factors(cert.D):
+            if saturation_kernel(lattice, q, config):
+                return CheckOutcome(False, f"basis is not saturated at prime {q}")
     elif any(not g.is_zero for g in gens):
         return CheckOutcome(False, "empty basis cannot generate nonzero generators")
     if linalg.rank(basis_rows, k + 1) != linalg.rank(gen_rows, k + 1):

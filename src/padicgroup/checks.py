@@ -50,14 +50,14 @@ def _spanning_scan(ctx, k: int, shift: FinVec | None, cap: int) -> int | None:
     """Rows scanned before truncations to k of (shift +) level elements span
     (Z/p)^k, or None if the cap was hit first (which would refute the
     spanning property for all practical purposes)."""
-    rows: list[list[int]] = []
+    echelon = linalg.EchelonModP(ctx.p, k)
     total = level_count(ctx)
     for n in range(1, min(total, cap) + 1):
         v = level_at(ctx, n)
         if shift is not None:
             v = v + shift
-        rows.append([int(v[i] % ctx.p) for i in range(1, k + 1)])
-        if linalg.rank_mod(rows, k, ctx.p) == k:
+        echelon.insert([int(v[i] % ctx.p) for i in range(1, k + 1)])
+        if echelon.rank == k:
             return n
     return None
 

@@ -23,7 +23,7 @@ class Config:
     bad_prime_cap: int = 10_000      # refuse certificates needing primes past this
     scan_cap: int = 1_000_000        # integer-vector codes scanned per lookup
     purify_prime_cap: int = 32       # largest prime probed when no bound is given
-    purify_round_cap: int = 64       # enlargement rounds per prime
+    purify_round_cap: int = 64       # kernel rounds per prime
     fingerprint: str = FINGERPRINT
 
     def __post_init__(self):

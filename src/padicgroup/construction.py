@@ -238,7 +238,7 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
         raise CapacityExceededError(
             f"residue set on window {w} mod {p}^{m} needs {required} entries",
             required=required, cap=config.residue_cap)
-    seen = set()
+    # digit decoding is injective, so the hyperplane layer needs no dedup
     if affine:
         free = [c for c in range(1, w2 + 1) if c != pivot]
         inv = pow(ctx.vec_mod[pivot - 1], -1, p)
@@ -248,17 +248,18 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
             solved = (ctx.target - partial) * inv % p
             if solved:
                 entries[pivot] = solved
-            vec = FinVec(entries)
-            if vec not in seen:
-                seen.add(vec)
-                yield vec
+            yield FinVec(entries)
     else:
         for idx in range(hyper_count):
-            vec = FinVec(_digit_entries(idx, p, range(1, w2 + 1)))
-            if vec not in seen:
-                seen.add(vec)
-                yield vec
+            yield FinVec(_digit_entries(idx, p, range(1, w2 + 1)))
+
+    def in_hyperplane_layer(entries: dict) -> bool:
+        if any(i > w2 or value >= p for i, value in entries.items()):
+            return False
+        return not affine or sum(v * ctx.vec_mod[i - 1] for i, v in entries.items()) % p == ctx.target
+
     modulus = p ** m
+    seen_blocks = set()  # at most kmax(kmax+3)/2 entries
     for k in range(1, kmax + 1):
         block = condition_block(ctx, k)
         for v in block.vectors:
@@ -268,9 +269,11 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
                     res = value % modulus
                     if res:
                         entries[i] = res
+            if in_hyperplane_layer(entries):
+                continue
             vec = FinVec(entries)
-            if vec not in seen:
-                seen.add(vec)
+            if vec not in seen_blocks:
+                seen_blocks.add(vec)
                 yield vec
 
 

@@ -16,7 +16,6 @@ exact; without one the search is capped and flagged.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -128,20 +127,34 @@ class PurifyResult:
         }
 
 
-def _projective_tuples(p: int, d: int):
-    """Coefficient tuples in {0..p-1}^d with first nonzero entry equal to 1.
+def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) -> list[list[int]]:
+    """Coefficients c over F_p with (1/p) sum c_i b_i a group element, as a kernel basis.
 
-    Every rank-one enlargement (1/p)v of a lattice is hit by one of these,
-    so scanning them instead of all p^d tuples reaches the same fixpoint.
+    The rows b_i of ``lat`` must lie in the group.  A combination
+    (1/p) sum c_i b_i can then fail membership only at p, and it is a
+    member iff sum c_i l_r(b_i) = 0 mod p for every window residue r of
+    the family, where l_r(y) = y0 + <r, y.x> is p-integral.  The residues
+    mod p^m with m = max(1, 1 - min_i v_p(b_i.x)) determine every l_r mod
+    p, so the members form the kernel of one residue-by-row matrix over
+    F_p.  The scan stops as soon as that matrix has full column rank.
     """
-    for lead in range(d):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=d - lead - 1):
-            yield prefix + tail
-
-
-def _count_projective(p: int, d: int) -> int:
-    return (p**d - 1) // (p - 1)
+    e = valuation(lat.den, p)
+    scale = p**e
+    # lowest valuation of a numerator on the x columns; an all-zero x part gives m = 1
+    lowest = min((valuation(v, p) for row in lat.rows for v in row[1:] if v), default=e)
+    m = max(1, 1 + e - lowest)
+    echelon = linalg.EchelonModP(p, lat.dim)
+    for r in iter_window_residues(build_context(p, config), lat.ncols - 1, m, config):
+        items = r.items()
+        values = []
+        for row in lat.rows:
+            num = row[0] + sum(v * row[i] for i, v in items)
+            if num % scale:
+                raise NotInGroupError(f"lattice row {row} / {lat.den} is not a group element at {p}")
+            values.append(num // scale)
+        if echelon.insert(values) and echelon.rank == lat.dim:
+            return []
+    return echelon.kernel()
 
 
 def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyResult:
@@ -149,12 +162,16 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
 
     Starts from the generators together with all integer points of their
     rational span (integer vectors are always members), then saturates at
-    each candidate prime p: while some (1/p)-combination of the current
-    basis is a member, adjoin it.  With a certified bound D the candidate
-    primes are exactly the divisors of D and the fixpoint is the full pure
-    closure; otherwise primes up to the configured cap are probed and the
-    result is marked possibly-incomplete.
+    each candidate prime p: each round adjoins (1/p) sum c_i b_i for a
+    basis c of saturation_kernel, until that kernel is trivial.  The
+    fixpoint G meet L[1/p] is unique and its Hermite basis canonical.
+    With a certified bound D the candidate primes are exactly the divisors
+    of D and the fixpoint is the full pure closure; otherwise primes up to
+    the configured cap are probed and the result is marked
+    possibly-incomplete.
     """
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be a positive integer")
     gens = list(gens)
     for idx, g in enumerate(gens):
         if not is_member(g, config):
@@ -173,43 +190,26 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
     lat = linalg.RatLattice.from_rows(gen_rows + int_rows, ncols)
 
     if bound is not None:
-        if bound < 1:
-            raise ValueError("bound must be a positive integer")
         primes = prime_factors(bound)
         status = "complete"
     else:
         primes = sorted(set(primes_up_to(config.purify_prime_cap)) | set(prime_factors(lat.den)))
         status = "possibly-incomplete"
 
-    probed = []
     for p in primes:
-        probed.append(p)
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > config.purify_round_cap:
-                raise CapacityExceededError(
-                    f"saturation at prime {p} did not stabilize",
-                    required=rounds, cap=config.purify_round_cap,
-                )
-            d = lat.dim
-            n_candidates = _count_projective(p, d)
-            if n_candidates > config.residue_cap:
-                raise CapacityExceededError(
-                    f"{n_candidates} saturation candidates at prime {p}",
-                    required=n_candidates, cap=config.residue_cap,
-                )
-            rows = lat.rational_rows()
-            enlarged = False
-            for coeffs in _projective_tuples(p, d):
-                vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) / p for j in range(ncols)]
-                if lat.contains(vec):
-                    continue
-                if is_member(row_element(vec), config):
-                    lat = lat.add_row(vec)
-                    enlarged = True
-                    break
-            if not enlarged:
+        for _ in range(config.purify_round_cap):
+            kernel = saturation_kernel(lat, p, config)
+            if not kernel:
                 break
+            rows = lat.rational_rows()
+            lat = linalg.RatLattice.from_rows(rows + [
+                [sum(c * row[j] for c, row in zip(coeffs, rows)) / p for j in range(ncols)]
+                for coeffs in kernel
+            ], ncols)
+        else:
+            raise CapacityExceededError(
+                f"saturation at prime {p} did not stabilize",
+                required=config.purify_round_cap + 1, cap=config.purify_round_cap,
+            )
     basis = tuple(row_element(row) for row in lat.rational_rows())
-    return PurifyResult(basis, status, tuple(probed), bound)
+    return PurifyResult(basis, status, tuple(primes), bound)

@@ -40,25 +40,66 @@ def rank(rows: list[Row], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
 
+class EchelonModP:
+    """Reduced row echelon form over the field with p elements, fed one row at a time.
+
+    Each stored row has pivot entry 1 and is zero on every other pivot
+    column, so a new row is reduced with one pass over the stored rows and
+    the kernel reads straight off the free columns.
+    """
+
+    __slots__ = ("p", "ncols", "pivots")
+
+    def __init__(self, p: int, ncols: int):
+        self.p = p
+        self.ncols = ncols
+        self.pivots: dict[int, list[int]] = {}  # pivot column -> stored row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, row: list[int]) -> bool:
+        """Add an integer row (first ncols entries); True iff the rank grew."""
+        p = self.p
+        vec = [v % p for v in row[: self.ncols]]
+        for c, stored in self.pivots.items():
+            f = vec[c]
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, stored)]
+        lead = next((c for c, v in enumerate(vec) if v), None)
+        if lead is None:
+            return False
+        inv = pow(vec[lead], -1, p)
+        vec = [v * inv % p for v in vec]
+        for c, stored in list(self.pivots.items()):
+            f = stored[lead]
+            if f:
+                self.pivots[c] = [(a - f * b) % p for a, b in zip(stored, vec)]
+        self.pivots[lead] = vec
+        return True
+
+    def kernel(self) -> list[list[int]]:
+        """Basis of {c : sum_j row_j c_j = 0 mod p for every inserted row},
+        one vector per free column, entries in 0..p-1."""
+        out = []
+        for free in range(self.ncols):
+            if free in self.pivots:
+                continue
+            vec = [0] * self.ncols
+            vec[free] = 1
+            for c, stored in self.pivots.items():
+                vec[c] = -stored[free] % self.p
+            out.append(vec)
+        return out
+
+
 def rank_mod(rows: list[list[int]], ncols: int, p: int) -> int:
     """Rank of an integer matrix over the field with p elements."""
-    mat = [[v % p for v in row] for row in rows]
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [v * inv % p for v in mat[r]]
-        for i in range(r + 1, len(mat)):
-            if mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+    echelon = EchelonModP(p, ncols)
+    for row in rows:
+        echelon.insert(row)
+    return echelon.rank
 
 
 def solve_right(rows: list[Row], rhs: Row, ncols: int):

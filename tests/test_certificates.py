@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,28 @@ def test_certificate_rejects_tampering():
     assert not verify_certificate(wrong_gens, cert)
 
 
+def test_certificate_rejects_unsaturated_basis():
+    # the generator alone spans the right lattice directions but is divisible
+    # by 2, 3 and 7 inside the group
+    gens = [element(-1, {1: -1})]
+    cert = certify_free(gens)
+    assert cert.D == 42
+    assert verify_certificate(gens, cert)
+    out = verify_certificate(gens, dataclasses.replace(cert, basis=tuple(gens)))
+    assert not out
+    assert out.reason == "basis is not saturated at prime 2"
+
+
+def test_certificate_rejects_basis_missing_integer_points():
+    # D = 1 probes no prime, so the integer point e1 must be checked directly
+    gens = [element(0, {1: 2})]
+    cert = certify_free(gens)
+    assert cert.D == 1
+    out = verify_certificate(gens, dataclasses.replace(cert, basis=tuple(gens)))
+    assert not out
+    assert "integer point" in out.reason
+
+
 def test_certificate_json_round_trip():
     cert = certify_free([element(1, {1: 2})])
     data = cert.to_json()
@@ -187,6 +210,46 @@ def test_certificate_json_round_trip():
     rec = data["bad_primes"][0]
     assert set(rec) == {"p", "selected", "Z", "m", "r"}
     assert BadPrimeRecord.from_json(rec) == cert.bad[0]
+
+
+def _malformed(data: dict, path: tuple, value) -> dict:
+    out = dict(data)
+    if len(path) == 1:
+        out[path[0]] = value
+    else:
+        rec = dict(out[path[0]][0])
+        rec[path[1]] = value
+        out[path[0]] = [rec] + out[path[0]][1:]
+    return out
+
+
+@pytest.mark.parametrize("path,value", [
+    (("D",), "2"), (("D",), 2.0), (("D",), True), (("k",), 1.5), (("index",), None),
+    (("basis",), {}), (("bad_primes",), "[]"), (("fingerprint",), 1),
+    (("bad_primes", "p"), 7.9), (("bad_primes", "m"), False), (("bad_primes", "selected"), [0.0]),
+    (("bad_primes", "Z"), ["12"]), (("bad_primes", "selected"), 0),
+])
+def test_certificate_from_json_is_strict(path, value):
+    data = certify_free([element(1, {1: 2})]).to_json()
+    with pytest.raises(ValueError):
+        FreenessCertificate.from_json(_malformed(data, path, value))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", 7.9), ("p", "2"), ("d", True), ("a_int", 1.0), ("bezout", [1]), ("bezout", 1),
+    ("bezout", [1, "0"]), ("fingerprint", None),
+])
+def test_witness_from_json_is_strict(field, value):
+    data = divisibility_witness(element(-1, {1: -1}), 2).to_json()
+    with pytest.raises(ValueError):
+        DivisibilityWitness.from_json({**data, field: value})
+
+
+@pytest.mark.parametrize("data", [5, [], "p", None])
+def test_artifacts_must_be_json_objects(data):
+    for cls in (DivisibilityWitness, FreenessCertificate, BadPrimeRecord):
+        with pytest.raises(ValueError):
+            cls.from_json(data)
 
 
 def test_certify_detects_axis_overlap():

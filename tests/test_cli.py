@@ -40,6 +40,8 @@ EXIT_CASES = [
     (("certify", '{"x0": "1", "x": {}}'), 2),
     (("purify", '[{"x0": "2", "x": {}}]'), 0),
     (("purify", '[{"x0": "0", "x": {"1": "2"}}]', "--bound", "2"), 0),
+    (("purify", '[{"x0": "0", "x": {"1": "2"}}]', "--bound", "0"), 2),
+    (("purify", "[]", "--bound", "0"), 2),
     (("enum", "rat", "--from", "1", "--to", "8"), 0),
     (("enum", "rat", "--from", "5", "--to", "3"), 2),
     (("enum", "partition", "--from", "1", "--to", "5"), 0),
@@ -114,6 +116,47 @@ def test_certificate_round_trip_through_cli():
     code, out = run("verify-cert", gens, json.dumps(bad))
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-cert", "[]", "5"),
+    ("verify-cert", "[]", "[]"),
+    ("verify-witness", E_MINUS, "7"),
+    ("verify-witness", E_MINUS, '{"p": 7.9}'),
+])
+def test_malformed_artifacts_are_usage_errors(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(*argv)
+    assert code == 2
+    data = json.loads(out)
+    assert data["error"] == "usage"
+    assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("field,value", [("p", 7.9), ("d", "1"), ("a_int", True)])
+def test_malformed_witness_fields_exit_2(field, value):
+    _, wit = run("witness", E_MINUS, "--prime", "2")
+    bent = json.loads(wit)
+    bent[field] = value
+    code, out = run("verify-witness", E_MINUS, json.dumps(bent))
+    assert code == 2, out
+    assert json.loads(out)["error"] == "usage"
+
+
+def test_malformed_certificate_exits_2_without_traceback():
+    gens = '[{"x0": "0", "x": {"1": "2"}}]'
+    _, cert = run("certify", gens)
+    bent = json.loads(cert)
+    bent["D"] = "12"
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicgroup", "verify-cert", gens, json.dumps(bent)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "usage"
+    assert len(proc.stdout.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_certify_axis_overlap_payload():

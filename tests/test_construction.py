@@ -204,6 +204,36 @@ def test_window_residues_match_bruteforce(p, w, m):
     assert window_residues(build_context(p), w, m) == brute_residues(p, w, m)
 
 
+def set_based_residues(p: int, w: int, m: int) -> list:
+    """The residue stream deduplicated with one set over everything yielded.
+
+    The hyperplane layer is read off the level-set enumeration truncated to
+    the clipped window, followed by the visible blocks reduced mod p^m.
+    """
+    c = build_context(p)
+    w2 = min(w, c.width)
+    pivot = max((i for i in range(1, c.width + 1) if c.vec_mod[i - 1]), default=None)
+    hyper_count = p ** (w2 - 1) if pivot is not None and pivot <= w2 else p ** w2
+    stream = [level_at(c, n).truncate(w2) for n in range(1, hyper_count + 1)]
+    modulus = p ** m
+    for k in range(1, visible_block_limit(p, m) + 1):
+        for v in condition_block(c, k).vectors:
+            stream.append(FinVec({i: val % modulus for i, val in v.truncate(w).items()}))
+    seen, out = set(), []
+    for vec in stream:
+        if vec not in seen:
+            seen.add(vec)
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_window_residue_order_matches_set_based_reference(p):
+    for w in range(1, 6):
+        for m in (1, 2, 3):
+            assert list(iter_window_residues(build_context(p), w, m)) == set_based_residues(p, w, m)
+
+
 def test_window_residues_frozen_p2():
     got = window_residues(build_context(2), 5, 2)
     expected = {

@@ -13,8 +13,10 @@ from padicgroup.group import (
     membership,
     purify,
     row_element,
+    saturation_kernel,
     spans_disjoint,
 )
+from padicgroup.linalg import RatLattice
 from padicgroup.vectors import FinVec, GroupElement, element
 
 F = Fraction
@@ -163,6 +165,45 @@ def test_purify_empty_and_gate():
     assert list(result.basis) == [] and result.status == "complete"
     with pytest.raises(NotInGroupError):
         purify([element(F(1, 2), {})])
+
+
+@pytest.mark.parametrize("gens", [[], [element(0, {})], [element(0, {1: 2})]])
+def test_purify_rejects_bound_zero(gens):
+    with pytest.raises(ValueError, match="bound"):
+        purify(gens, bound=0)
+
+
+def test_saturation_kernel():
+    # (1/p)(-1, -e1) is a member exactly at the class primes 2, 3, 7 of -e1
+    lat = RatLattice.from_rows([element_row(element(-1, {1: -1}), 1)], 2)
+    assert saturation_kernel(lat, 2) == [[1]]
+    assert saturation_kernel(lat, 7) == [[1]]
+    assert saturation_kernel(lat, 5) == []
+    closure = purify([element(-1, {1: -1})])
+    closed = RatLattice.from_rows([element_row(b, 1) for b in closure.basis], 2)
+    assert all(saturation_kernel(closed, p) == [] for p in (2, 3, 5, 7, 11, 13))
+    # Z^2 saturates at 2 along the witness direction (-1/2, -1/2) only
+    square = RatLattice.from_rows([[1, 0], [0, 1]], 2)
+    assert saturation_kernel(square, 2) == [[1, 1]]
+
+
+def test_purify_dim4_default_cap_completes():
+    # four generators spanning Q^4, each an integer point plus a witness
+    # multiple c*z_p; the default cap probes every prime up to 31
+    gens = [
+        element(F(-1, 2), {1: F(-1, 2), 2: 1, 3: -2}),
+        element(F(4, 3), {1: F(1, 3), 2: -1}),
+        element(F(-8, 5), {1: F(-3, 5), 2: F(-8, 5), 3: 1}),
+        element(F(4, 7), {1: F(-3, 7), 3: 2}),
+    ]
+    result = purify(gens)
+    assert result.probed == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    basis_rows = [element_row(b, 3) for b in result.basis]
+    lattice = RatLattice.from_rows(basis_rows, 4)
+    assert lattice.dim == 4
+    assert all(lattice.contains(element_row(g, 3)) for g in gens)
+    assert all(is_member(b) for b in result.basis)
+    assert all(saturation_kernel(lattice, p) == [] for p in result.probed)
 
 
 def test_purify_idempotent():

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 from padicgroup.linalg import (
+    EchelonModP,
     RatLattice,
     det,
     hnf,
@@ -44,6 +46,32 @@ def test_rank_mod_agrees_with_rational_rank_away_from_bad_primes():
         r = rank([list(map(F, row)) for row in rows], 4)
         # a large prime cannot see spurious collapse
         assert rank_mod(rows, 4, 1_000_003) == r
+
+
+def brute_kernel_mod(rows, ncols, p):
+    return {c for c in itertools.product(range(p), repeat=ncols)
+            if all(sum(a * b for a, b in zip(row, c)) % p == 0 for row in rows)}
+
+
+def test_echelon_mod_p_kernel_matches_bruteforce():
+    rng = random.Random(13)
+    for _ in range(150):
+        p = rng.choice((2, 3, 5))
+        ncols = rng.randint(1, 4)
+        rows = [[rng.randrange(-6, 7) for _ in range(ncols)] for _ in range(rng.randint(0, 5))]
+        echelon = EchelonModP(p, ncols)
+        for row in rows:
+            before = echelon.rank
+            assert echelon.insert(row) == (echelon.rank == before + 1)
+        kernel = echelon.kernel()
+        brute = brute_kernel_mod(rows, ncols, p)
+        assert len(kernel) == ncols - echelon.rank
+        assert p ** len(kernel) == len(brute)
+        spanned = {tuple(sum(t * v[j] for t, v in zip(coeffs, kernel)) % p for j in range(ncols))
+                   for coeffs in itertools.product(range(p), repeat=len(kernel))}
+        assert spanned == brute
+        # rank over F_p is the codimension of the kernel
+        assert rank_mod(rows, ncols, p) == ncols - len(kernel)
 
 
 def test_solve_right_solution():
