@@ -12,7 +12,6 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotPAdicIntegerError, NotPrimeError
@@ -84,28 +83,9 @@ def valuation(q: Fraction | int, p: int) -> int | float:
     return v
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/p^m given by its representative in [0, p^m)."""
-
-    value: int
-    p: int
-    exp: int
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.exp < 1:
-            raise ValueError(f"modulus exponent must be >= 1, got {self.exp}")
-        if not 0 <= self.value < self.p**self.exp:
-            raise ValueError(f"residue {self.value} out of range mod {self.p}^{self.exp}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.exp
-
-
-def reduce_mod(q: Fraction | int, p: int, m: int = 1) -> Residue:
-    """Reduce a p-integral rational mod p^m via a modular inverse of the denominator."""
+def reduce_mod(q: Fraction | int, p: int, m: int = 1) -> int:
+    """Representative in [0, p^m) of a p-integral rational mod p^m, via a
+    modular inverse of the denominator."""
     _require_prime(p)
     if m < 1:
         raise ValueError(f"modulus exponent must be >= 1, got {m}")
@@ -113,8 +93,7 @@ def reduce_mod(q: Fraction | int, p: int, m: int = 1) -> Residue:
     if q != 0 and valuation(q, p) < 0:
         raise NotPAdicIntegerError(f"{format_rational(q)} has a negative {p}-adic valuation")
     mod = p**m
-    value = q.numerator * pow(q.denominator, -1, mod) % mod
-    return Residue(value, p, m)
+    return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
 def prime_factors(n: int) -> list[int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -134,14 +135,8 @@ def enum_rat(n: int) -> Fraction:
         # block sizes grow linearly, so heights grow like sqrt(n)
         h = max(h + 1, isqrt(n // 2))
         _grow_rat_blocks(h)
-    lo, hi = 1, len(_rat_cum) - 1
-    while lo < hi:  # smallest block with cumulative count >= n
-        mid = (lo + hi) // 2
-        if _rat_cum[mid] < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return _rat_blocks[lo][n - 1 - _rat_cum[lo - 1]]
+    block = bisect_left(_rat_cum, n, 1)  # smallest block with cumulative count >= n
+    return _rat_blocks[block][n - 1 - _rat_cum[block - 1]]
 
 
 def rat_code0(q: Fraction | int) -> int:
@@ -270,21 +265,10 @@ def intvec_index(v: FinVec, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
     code = encode_seq([int_code0(int(v[i])) for i in range(1, top + 1)])
     code += 1
     _iv_extend(code=code, cap=scan_cap)
-    pos = _bisect(_iv_codes, code)
-    if pos is None:  # cannot happen: canonical codes always decode nonzero
+    pos = bisect_left(_iv_codes, code)
+    if pos == len(_iv_codes) or _iv_codes[pos] != code:  # cannot happen: canonical codes decode nonzero
         raise EnumerationRangeError(f"vector {v!r} has no enumeration slot")
     return pos + 1
-
-
-def _bisect(codes: list[int], code: int) -> int | None:
-    lo, hi = 0, len(codes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if codes[mid] < code:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo < len(codes) and codes[lo] == code else None
 
 
 # ---------------------------------------------------------------------------

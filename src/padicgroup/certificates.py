@@ -17,12 +17,13 @@ instead of raising, so tampered artifacts are diagnosed, not crashed on.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
 from . import linalg
 from .arith import format_rational, is_prime, parse_rational, prime_factors, primes_up_to, valuation
-from .bookkeeping import FINGERPRINT, enum_qvec, qvec_index, partition_vector
+from .bookkeeping import FINGERPRINT, enum_qvec, partition_members, partition_vector, qvec_index
 from .config import DEFAULT, Config
 from .construction import build_context, condition_block
 from .errors import (
@@ -135,6 +136,22 @@ def divisibility_witness(e: GroupElement, p: int, config: Config = DEFAULT) -> D
     return DivisibilityWitness(p=p, a_int=a_int, d=d, z=z, bezout=(a, b))
 
 
+def witness_primes(e: GroupElement, n: int, config: Config = DEFAULT) -> list[int]:
+    """The first n primes of the partition class of the cleared vector part
+    of e (off the axis) that do not divide its cleared denominator d."""
+    d = e.denominator_lcm()
+    cleared_x = e.scale(d).x
+    fetch = n
+    primes: list[int] = []
+    while len(primes) < n:
+        fetch += n
+        candidates = partition_members(cleared_x, fetch, config.prime_cap, config.scan_cap)
+        primes = [p for p in candidates if d % p != 0][:n]
+        if len(candidates) < fetch:  # pragma: no cover - partition classes are infinite
+            break
+    return primes
+
+
 def verify_witness(e: GroupElement, wit: DivisibilityWitness, config: Config = DEFAULT) -> CheckOutcome:
     """Recheck a divisibility witness from scratch."""
     if wit.fingerprint != FINGERPRINT:
@@ -230,7 +247,7 @@ class FreenessCertificate:
     def from_json(cls, data: dict) -> "FreenessCertificate":
         _json_object(data, "certificate",
                      {"lambda", "index", "k", "good_params", "bad_primes", "D", "basis", "fingerprint"})
-        return cls(
+        cert = cls(
             lam=FinVec.from_json(data["lambda"]),
             index=_json_int(data["index"], "index"),
             k=_json_int(data["k"], "k"),
@@ -239,6 +256,10 @@ class FreenessCertificate:
             basis=tuple(GroupElement.from_json(e) for e in _json_list(data["basis"], "basis")),
             fingerprint=_json_str(data["fingerprint"], "fingerprint"),
         )
+        # compared as JSON text, so true or 1.0 does not pass for 1
+        if json.dumps(data["good_params"], sort_keys=True) != json.dumps(cert.good_params, sort_keys=True):
+            raise ValueError("good_params do not match the values derived from k, index and lambda")
+        return cert
 
 
 def _solve_lambda(gens: list[GroupElement], k: int) -> FinVec:
@@ -284,16 +305,14 @@ def _translate_rows(p: int, k: int, lam: FinVec, config: Config) -> list[list[Fr
 
 
 def _select_independent(rows: list[list[Fraction]], k: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Greedily pick k rows forming a nonsingular matrix (always possible:
-    consecutive differences are strictly diagonally dominant)."""
-    selected, chosen = [], []
-    for idx, row in enumerate(rows):
-        if linalg.rank(chosen + [row], k) > len(chosen):
-            selected.append(idx)
-            chosen.append(row)
-        if len(chosen) == k:
-            return selected, chosen
-    raise RuntimeError("translate truncations are rank-deficient; construction invariant violated")
+    """The first k rows independent of the rows before them, which form a
+    nonsingular matrix (always possible: consecutive differences are
+    strictly diagonally dominant).  They are the pivot columns of the
+    transpose."""
+    _, selected = linalg.rref([list(col) for col in zip(*rows)], len(rows))
+    if len(selected) < k:
+        raise RuntimeError("translate truncations are rank-deficient; construction invariant violated")
+    return selected, [rows[i] for i in selected]
 
 
 def _record_for_prime(p: int, k: int, lam: FinVec, config: Config) -> BadPrimeRecord:
@@ -344,6 +363,8 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
     k = max([1] + [g.x.max_support for g in gens])
     if cert.k != k:
         return CheckOutcome(False, f"k = {cert.k} but the generators need {k}")
+    if cert.index < 1:
+        return CheckOutcome(False, f"index {cert.index} must be >= 1")
     if enum_qvec(cert.index) != cert.lam:
         return CheckOutcome(False, f"index {cert.index} does not enumerate the stored lambda")
     for idx, g in enumerate(gens):
@@ -363,10 +384,9 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
             return CheckOutcome(False, f"record for prime {rec.p} selects out-of-range rows")
         if [list(row) for row in rec.z_rows] != [rows[i] for i in rec.selected]:
             return CheckOutcome(False, f"stored matrix for prime {rec.p} does not match the translates")
-        square = [list(row) for row in rec.z_rows]
-        if linalg.det(square) == 0:
+        inv = linalg.invert([list(row) for row in rec.z_rows])
+        if inv is None:
             return CheckOutcome(False, f"matrix for prime {rec.p} is singular")
-        inv = linalg.invert(square)
         m = max(0, -min(valuation(v, rec.p) for row in inv for v in row))
         if rec.m != m:
             return CheckOutcome(False, f"record for prime {rec.p} claims m = {rec.m}, recomputed {m}")

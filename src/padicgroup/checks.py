@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .arith import valuation
-from .bookkeeping import FINGERPRINT, enum_qvec, partition_members
+from .bookkeeping import FINGERPRINT, enum_qvec
 from .config import DEFAULT, Config
 from .construction import (
     build_context,
@@ -22,7 +22,7 @@ from .construction import (
     level_contains,
     level_count,
 )
-from .certificates import certify_free, divisibility_witness, verify_witness
+from .certificates import certify_free, divisibility_witness, verify_witness, witness_primes
 from .errors import CapacityExceededError
 from .group import in_integer_axis, is_member, purify, spans_disjoint
 from .vectors import FinVec, GroupElement, element
@@ -198,19 +198,9 @@ def check_divisibility(target: GroupElement | None = None, n: int = 3,
     if e.x.is_zero:
         details["counterexample"] = {"kind": "axis-element"}
         return CheckReport("div-infinitude", False, details)
-    d = e.denominator_lcm()
-    cleared = e.scale(d)
-    want = n
-    fetch = n
-    primes: list[int] = []
-    while len(primes) < want:
-        fetch += want
-        candidates = partition_members(cleared.x, fetch, config.prime_cap, config.scan_cap)
-        primes = [p for p in candidates if d % p != 0][:want]
-        if len(candidates) < fetch:  # pragma: no cover - partition classes are infinite
-            break
+    primes = witness_primes(e, n, config)
     details["primes"] = primes
-    if len(primes) < want:
+    if len(primes) < n:
         details["counterexample"] = {"kind": "not-enough-primes"}
         return CheckReport("div-infinitude", False, details)
     for p in primes:

@@ -20,7 +20,6 @@ from .bookkeeping import (
     enum_qvec,
     enum_rat,
     intvec_at,
-    partition_members,
     partition_vector,
 )
 from .certificates import (
@@ -30,6 +29,7 @@ from .certificates import (
     divisibility_witness,
     verify_certificate,
     verify_witness,
+    witness_primes,
 )
 from .checks import run_check
 from .config import Config, load_config
@@ -37,10 +37,8 @@ from .construction import build_context
 from .errors import (
     CapacityExceededError,
     EnumerationRangeError,
-    FingerprintMismatchError,
     NoQuotientContentError,
     NotInGroupError,
-    NotPrimeError,
     SpanMeetsAxisError,
     WrongPrimeError,
 )
@@ -93,16 +91,9 @@ def _cmd_witness(args, config: Config) -> int:
         _emit(wit.to_json())
         return 0
     # no prime given: witness at the first configured class primes
-    d = e.denominator_lcm()
     if e.x.is_zero:
         raise NoQuotientContentError("element lies on the integer axis; its coset is zero")
-    want = config.witness_prime_count
-    fetch = want
-    primes: list[int] = []
-    while len(primes) < want:
-        fetch += want
-        candidates = partition_members(e.scale(d).x, fetch, config.prime_cap, config.scan_cap)
-        primes = [p for p in candidates if d % p != 0][:want]
+    primes = witness_primes(e, config.witness_prime_count, config)
     witnesses = [divisibility_witness(e, p, config) for p in primes]
     _emit({
         "primes": primes,
@@ -252,6 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception class -> (error tag, exit code), in match order: the first class
+# the exception is an instance of wins, so the ValueError subclasses (including
+# json.JSONDecodeError) come before ValueError itself
+_ERRORS = {
+    CapacityExceededError: ("capacity-exceeded", 3),
+    json.JSONDecodeError: ("malformed-json", 2),
+    NotInGroupError: ("not-in-group", 1),
+    WrongPrimeError: ("wrong-prime", 1),
+    NoQuotientContentError: ("no-quotient-content", 1),
+    ValueError: ("usage", 2),
+    OSError: ("usage", 2),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -263,25 +268,12 @@ def main(argv=None) -> int:
             witness_prime_count=args.witness_prime_count,
         )
         return args.func(args, config)
-    except CapacityExceededError as exc:
-        _emit({"error": "capacity-exceeded", "detail": str(exc),
-               "required": exc.required, "cap": exc.cap, "fingerprint": FINGERPRINT})
-        return 3
-    except json.JSONDecodeError as exc:
-        _emit({"error": "malformed-json",
-               "detail": f"{exc.msg} at line {exc.lineno} column {exc.colno}",
-               "fingerprint": FINGERPRINT})
-        return 2
-    except NotInGroupError as exc:
-        _emit({"error": "not-in-group", "detail": str(exc), "fingerprint": FINGERPRINT})
-        return 1
-    except WrongPrimeError as exc:
-        _emit({"error": "wrong-prime", "detail": str(exc), "fingerprint": FINGERPRINT})
-        return 1
-    except NoQuotientContentError as exc:
-        _emit({"error": "no-quotient-content", "detail": str(exc), "fingerprint": FINGERPRINT})
-        return 1
-    except (NotPrimeError, EnumerationRangeError, FingerprintMismatchError,
-            ValueError, OSError) as exc:
-        _emit({"error": "usage", "detail": str(exc), "fingerprint": FINGERPRINT})
-        return 2
+    except tuple(_ERRORS) as exc:
+        tag, code = next(row for cls, row in _ERRORS.items() if isinstance(exc, cls))
+        out = {"error": tag, "detail": str(exc), "fingerprint": FINGERPRINT}
+        if isinstance(exc, json.JSONDecodeError):
+            out["detail"] = f"{exc.msg} at line {exc.lineno} column {exc.colno}"
+        elif isinstance(exc, CapacityExceededError):
+            out.update(required=exc.required, cap=exc.cap)
+        _emit(out)
+        return code

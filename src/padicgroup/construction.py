@@ -85,7 +85,7 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
         forbidden = set()
         for i in relevant:
             value = -enum_qvec(i).inner(vec)
-            forbidden.add(reduce_mod(value, p, 1).value)
+            forbidden.add(reduce_mod(value, p, 1))
         target = next(t for t in range(1, p) if t not in forbidden)
     return PrimeContext(p, vec, width, vec_mod, target, relevant)
 
@@ -129,28 +129,37 @@ def _digit_entries(idx: int, p: int, coords) -> dict:
     return entries
 
 
-def level_at(ctx: PrimeContext, n: int) -> FinVec:
-    """The n-th level-set element, 1-based.
+def _hyperplane_points(ctx: PrimeContext, w: int, indices):
+    """Level-set truncations to the window [1, w] at the given digit indices.
 
-    Free coordinates take the base-p digits of n-1 (coordinate 1, or the
-    smallest free coordinate, varying fastest); the pivot coordinate is
-    solved from the inner-product constraint.
+    Free coordinates take the base-p digits of the index (the smallest free
+    coordinate varying fastest).  When the pivot lies in the window it is
+    solved from the inner-product constraint; otherwise every coordinate is
+    free.
     """
+    p = ctx.p
+    pivot = _pivot(ctx)
+    if pivot is not None and pivot > w:
+        pivot = None
+    free = [c for c in range(1, w + 1) if c != pivot]
+    inv = pow(ctx.vec_mod[pivot - 1], -1, p) if pivot is not None else 0
+    for idx in indices:
+        entries = _digit_entries(idx, p, free)
+        if pivot is not None:
+            partial = sum(v * ctx.vec_mod[c - 1] for c, v in entries.items())
+            solved = (ctx.target - partial) * inv % p
+            if solved:
+                entries[pivot] = solved
+        yield FinVec(entries)
+
+
+def level_at(ctx: PrimeContext, n: int) -> FinVec:
+    """The n-th level-set element, 1-based: the hyperplane point with digit
+    index n-1 on the whole width."""
     count = level_count(ctx)
     if not 1 <= n <= count:
         raise EnumerationRangeError(f"level index {n} outside 1..{count}")
-    idx = n - 1
-    pivot = _pivot(ctx)
-    if pivot is None:
-        return FinVec(_digit_entries(idx, ctx.p, range(1, ctx.width + 1)))
-    free = [c for c in range(1, ctx.width + 1) if c != pivot]
-    entries = _digit_entries(idx, ctx.p, free)
-    partial = sum(value * ctx.vec_mod[c - 1] for c, value in entries.items())
-    inv = pow(ctx.vec_mod[pivot - 1], -1, ctx.p)
-    solved = (ctx.target - partial) * inv % ctx.p
-    if solved:
-        entries[pivot] = solved
-    return FinVec(entries)
+    return next(_hyperplane_points(ctx, ctx.width, (n - 1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +248,7 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
             f"residue set on window {w} mod {p}^{m} needs {required} entries",
             required=required, cap=config.residue_cap)
     # digit decoding is injective, so the hyperplane layer needs no dedup
-    if affine:
-        free = [c for c in range(1, w2 + 1) if c != pivot]
-        inv = pow(ctx.vec_mod[pivot - 1], -1, p)
-        for idx in range(hyper_count):
-            entries = _digit_entries(idx, p, free)
-            partial = sum(v * ctx.vec_mod[c - 1] for c, v in entries.items())
-            solved = (ctx.target - partial) * inv % p
-            if solved:
-                entries[pivot] = solved
-            yield FinVec(entries)
-    else:
-        for idx in range(hyper_count):
-            yield FinVec(_digit_entries(idx, p, range(1, w2 + 1)))
+    yield from _hyperplane_points(ctx, w2, range(hyper_count))
 
     def in_hyperplane_layer(entries: dict) -> bool:
         if any(i > w2 or value >= p for i, value in entries.items()):

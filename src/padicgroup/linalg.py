@@ -1,8 +1,11 @@
-"""Exact linear algebra over Q and Z.
+"""Exact linear algebra over Q, F_p and Z.
 
-Small dense routines on lists of lists: rational elimination for rank and
-solving, integer Hermite reduction for lattice bookkeeping.  Everything is
-exact; nothing here knows about the group.
+One Gauss-Jordan routine, ``_eliminate``, serves ``rref``, ``rank``,
+``solve_right``, ``invert`` and ``det``: it reduces Fraction rows in place,
+pivoting each column on the first remaining row nonzero there, while extra
+columns (a right-hand side, an identity block) ride along.  ``EchelonModP``
+is the incremental F_p echelon form of the saturation kernel, and ``hnf``
+the one Hermite reduction over Z.  Nothing here knows about the group.
 """
 
 from __future__ import annotations
@@ -13,17 +16,33 @@ from math import gcd, lcm
 Row = list
 
 
-def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [[Fraction(v) for v in row] for row in rows]
+def _fractions(rows: list[Row]) -> list[Row]:
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def _eliminate(mat: list[Row], ncols: int) -> tuple[list[int], Fraction]:
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+
+    Returns the pivot columns (row i of the result has a 1 at pivots[i] and
+    zeros elsewhere in pivot columns) and the signed product of the pivots
+    before scaling, which is the determinant when the block is square and
+    of full rank.
+    """
     pivots = []
+    product = Fraction(1)
     r = 0
     for c in range(ncols):
+        if r == len(mat):
+            break
         pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            product = -product
+        lead = mat[r][c]
+        product *= lead
+        inv = 1 / lead
         mat[r] = [v * inv for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
@@ -31,13 +50,18 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    return pivots, product
+
+
+def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    mat = _fractions(rows)
+    pivots, _ = _eliminate(mat, ncols)
+    return mat[: len(pivots)], pivots
 
 
 def rank(rows: list[Row], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+    return len(_eliminate(_fractions(rows), ncols)[0])
 
 
 class EchelonModP:
@@ -110,72 +134,32 @@ def solve_right(rows: list[Row], rhs: Row, ncols: int):
     sum u_i rows[i] = 0 while sum u_i rhs[i] != 0.
     """
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][ncols] != 0:
-            return None, aug[i][ncols + 1 :]
+    aug = [row + [Fraction(rhs[i])] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(_fractions(rows))]
+    pivots, _ = _eliminate(aug, ncols)
+    for row in aug[len(pivots):]:
+        if row[ncols] != 0:
+            return None, row[ncols + 1 :]
     t = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        t[c] = aug[row_idx][ncols]
+    for row, c in zip(aug, pivots):
+        t[c] = row[ncols]
     return t, None
 
 
 def invert(square: list[Row]) -> list[Row] | None:
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(square)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(square)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(_fractions(square))]
+    pivots, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        return None
     return [row[n:] for row in aug]
 
 
 def det(square: list[Row]) -> Fraction:
     n = len(square)
-    mat = [[Fraction(v) for v in row] for row in square]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        out *= mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return sign * out
+    pivots, product = _eliminate(_fractions(square), n)
+    return product if len(pivots) == n else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +171,11 @@ def hnf(rows: list[Row]) -> list[Row]:
     Pivots are positive, entries above a pivot reduced into [0, pivot); zero
     rows are dropped.  The result is the canonical basis of the lattice.
     """
-    return _hnf_transform(rows, want_transform=False)[0]
-
-
-def hnf_with_transform(rows: list[Row]) -> tuple[list[Row], list[Row]]:
-    """Hermite form H plus a unimodular U with U @ rows = H ++ zero rows.
-
-    Returns (H-with-zero-rows, U); callers needing the kernel read the U
-    rows opposite the zero rows of H.
-    """
-    return _hnf_transform(rows, want_transform=True)
-
-
-def _hnf_transform(rows, want_transform):
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     mat = [[int(v) for v in row] for row in rows]
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if want_transform else None
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("ragged matrix")
     r = 0
     for c in range(ncols):
         # clear column c below row r with extended-gcd row operations
@@ -216,15 +185,11 @@ def _hnf_transform(rows, want_transform):
                 break
             i0 = min(nz, key=lambda i: abs(mat[i][c]))
             mat[r], mat[i0] = mat[i0], mat[r]
-            if u:
-                u[r], u[i0] = u[i0], u[r]
             done = True
             for i in range(r + 1, m):
                 if mat[i][c] != 0:
                     q = mat[i][c] // mat[r][c]
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                    if u:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
                     if mat[i][c] != 0:
                         done = False
             if done:
@@ -232,52 +197,36 @@ def _hnf_transform(rows, want_transform):
         if r < m and mat[r][c] != 0:
             if mat[r][c] < 0:
                 mat[r] = [-v for v in mat[r]]
-                if u:
-                    u[r] = [-v for v in u[r]]
             for i in range(r):  # reduce entries above the pivot
                 q = mat[i][c] // mat[r][c]
                 if q:
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                    if u:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
             r += 1
-    if want_transform:
-        return mat, u
-    return [row for row in mat[:r] if any(row)], None
-
-
-def left_kernel(rows: list[Row]) -> list[Row]:
-    """Basis of {u integer row : u @ rows = 0}."""
-    h, u = hnf_with_transform(rows)
-    return hnf([u[i] for i in range(len(rows)) if not any(h[i])])
+    return [row for row in mat[:r] if any(row)]
 
 
 def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
     """Hermite basis of (Z^ncols intersected with the rational row span).
 
-    ``span_rows`` may be any generating set of the span.
+    ``span_rows`` may be any generating set of the span.  The span is the
+    common kernel of one integer vector per free column of its reduced
+    echelon form; with those vectors as the columns of K, the integer
+    points x (x @ K = 0) are the identity parts of the Hermite rows of
+    [K | I] whose K part vanishes (Cohen, GTM 138, section 2.4.3).
     """
     basis, pivots = rref(span_rows, ncols)
-    d = len(basis)
-    if d == 0:
-        return []
-    nonpivot = [c for c in range(ncols) if c not in pivots]
-    if not nonpivot:
-        return [[int(v) for v in row] for row in basis]
-    # an integer point is determined by integer pivot coordinates c with
-    # c . basis integral on every non-pivot column
-    denom = lcm(*(v.denominator for row in basis for v in row)) if basis else 1
-    m_cols = [[int(basis[i][c] * denom) for c in nonpivot] for i in range(d)]
-    q = len(nonpivot)
-    stacked = m_cols + [[denom * int(i == j) for j in range(q)] for i in range(q)]
-    kern = left_kernel(stacked)
-    coeff_rows = hnf([row[:d] for row in kern])
-    out = []
-    for coeffs in coeff_rows:
-        vec = [sum(Fraction(coeffs[i]) * basis[i][c] for i in range(d)) for c in range(ncols)]
-        assert all(v.denominator == 1 for v in vec)
-        out.append([int(v) for v in vec])
-    return hnf(out)
+    free = [c for c in range(ncols) if c not in pivots]
+    complement = []  # columns of K: e_f - sum_i basis[i][f] e_pivots[i], cleared
+    for f in free:
+        vec = [Fraction(int(c == f)) for c in range(ncols)]
+        for row, c in zip(basis, pivots):
+            vec[c] = -row[f]
+        den = lcm(*(v.denominator for v in vec))
+        complement.append([int(v * den) for v in vec])
+    q = len(free)
+    stacked = hnf([[vec[i] for vec in complement] + [int(i == j) for j in range(ncols)]
+                   for i in range(ncols)])
+    return hnf([row[q:] for row in stacked if not any(row[:q])])
 
 
 class RatLattice:

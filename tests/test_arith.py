@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from padicgroup.arith import (
-    Residue,
     format_rational,
     is_prime,
     nth_prime,
@@ -66,12 +65,11 @@ def test_valuation_is_additive():
 
 def test_reduce_mod_examples():
     # 1/3 mod 5: 3*2 = 6 = 1 mod 5, so 1/3 = 2
-    assert reduce_mod(Fraction(1, 3), 5).value == 2
+    assert reduce_mod(Fraction(1, 3), 5) == 2
     # -1 mod 7
-    assert reduce_mod(-1, 7).value == 6
+    assert reduce_mod(-1, 7) == 6
     # 1/3 mod 2^3: inverse of 3 mod 8 is 3, so value 3
-    r = reduce_mod(Fraction(1, 3), 2, 3)
-    assert r.value == 3 and r.modulus == 8
+    assert reduce_mod(Fraction(1, 3), 2, 3) == 3
     with pytest.raises(NotPAdicIntegerError):
         reduce_mod(Fraction(1, 2), 2)
 
@@ -82,17 +80,16 @@ def test_reduce_mod_is_ring_homomorphism():
         for a in vals:
             for b in vals:
                 ra, rb = reduce_mod(a, p, m), reduce_mod(b, p, m)
-                assert reduce_mod(a + b, p, m).value == (ra.value + rb.value) % p**m
-                assert reduce_mod(a * b, p, m).value == (ra.value * rb.value) % p**m
+                assert reduce_mod(a + b, p, m) == (ra + rb) % p**m
+                assert reduce_mod(a * b, p, m) == (ra * rb) % p**m
 
 
 def test_residue_validation():
+    # the modulus must be a positive power of a prime
     with pytest.raises(ValueError):
-        Residue(8, 2, 3)
-    with pytest.raises(ValueError):
-        Residue(0, 2, 0)
+        reduce_mod(0, 2, 0)
     with pytest.raises(NotPrimeError):
-        Residue(1, 6, 1)
+        reduce_mod(1, 6, 1)
 
 
 def test_prime_factors():

@@ -197,6 +197,43 @@ def test_certificate_rejects_basis_missing_integer_points():
     assert "integer point" in out.reason
 
 
+def test_certificate_rejects_singular_translate_matrix():
+    # lambda = -1 cancels the first translate at p = 2, so selecting it instead
+    # of the second one stores the singular 1x1 matrix [0]
+    gens = [element(-1, {1: 1})]
+    cert = certify_free(gens)
+    rec = cert.bad[0]
+    assert rec.p == 2 and rec.selected == (1,)
+    bent = dataclasses.replace(rec, selected=(0,), z_rows=((Fraction(0),),))
+    out = verify_certificate(gens, dataclasses.replace(cert, bad=(bent,) + cert.bad[1:]))
+    assert not out
+    assert out.reason == "matrix for prime 2 is singular"
+
+
+def test_certificate_rejects_non_positive_index():
+    gens = [element(1, {1: 2})]
+    cert = certify_free(gens)
+    for index in (0, -3):
+        out = verify_certificate(gens, dataclasses.replace(cert, index=index))
+        assert not out
+        assert out.reason == f"index {index} must be >= 1"
+
+
+@pytest.mark.parametrize("good_params", [
+    {"k": 99, "index": -5, "denominator_primes": "junk"},
+    {"k": 1, "index": 22, "denominator_primes": []},
+    {"k": True, "index": 22, "denominator_primes": [2]},
+    {"k": 1, "index": 22.0, "denominator_primes": [2]},
+    {"k": 1, "index": 22},
+    [],
+])
+def test_certificate_from_json_checks_good_params(good_params):
+    data = certify_free([element(1, {1: 2})]).to_json()
+    assert data["good_params"] == {"k": 1, "index": 22, "denominator_primes": [2]}
+    with pytest.raises(ValueError, match="good_params"):
+        FreenessCertificate.from_json({**data, "good_params": good_params})
+
+
 def test_certificate_json_round_trip():
     cert = certify_free([element(1, {1: 2})])
     data = cert.to_json()

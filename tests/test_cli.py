@@ -7,9 +7,16 @@ import sys
 import pytest
 
 from padicgroup.bookkeeping import FINGERPRINT
+from padicgroup.certificates import certify_free
 from padicgroup.cli import main
+from padicgroup.vectors import element
 
 E_MINUS = '{"x0": "-1", "x": {"1": "-1"}}'
+# a valid certificate of the generator (1, 2e1) with its good_params replaced
+CERT_BAD_GOOD_PARAMS = json.dumps({
+    **certify_free([element(1, {1: 2})]).to_json(),
+    "good_params": {"k": 99, "index": -5, "denominator_primes": "junk"},
+})
 
 
 def run(*argv):
@@ -38,6 +45,7 @@ EXIT_CASES = [
     (("certify", '[{"x0": "1", "x": {"1": "2"}}]'), 0),
     (("certify", '[{"x0": "1", "x": {}}]'), 1),
     (("certify", '{"x0": "1", "x": {}}'), 2),
+    (("verify-cert", '[{"x0": "1", "x": {"1": "2"}}]', CERT_BAD_GOOD_PARAMS), 2),
     (("purify", '[{"x0": "2", "x": {}}]'), 0),
     (("purify", '[{"x0": "0", "x": {"1": "2"}}]', "--bound", "2"), 0),
     (("purify", '[{"x0": "0", "x": {"1": "2"}}]', "--bound", "0"), 2),

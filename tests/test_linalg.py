@@ -2,15 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from padicgroup.linalg import (
     EchelonModP,
     RatLattice,
     det,
     hnf,
-    hnf_with_transform,
     integer_span_points,
     invert,
-    left_kernel,
     rank,
     rank_mod,
     rref,
@@ -93,6 +93,16 @@ def test_solve_right_inconsistency_witness():
     assert sum(u[i] * rhs[i] for i in range(2)) != 0
 
 
+def test_solve_right_witness_follows_the_pivot_rule():
+    # the pivot of each column is the first remaining nonzero row, so row 2
+    # pivots column 0 and row 1 pivots column 1; an in-order greedy
+    # elimination would give u = [-2, 1, 0] instead
+    rows = [[F(0), F(1)], [F(0), F(2)], [F(1), F(0)]]
+    t, u = solve_right(rows, [F(1), F(1), F(0)], 2)
+    assert t is None
+    assert u == [1, F(-1, 2), 0]
+
+
 def test_invert_and_det():
     m = [[F(2), F(1)], [F(1), F(1)]]
     inv = invert(m)
@@ -120,26 +130,6 @@ def test_hnf_frozen():
     assert hnf([]) == []
 
 
-def test_hnf_transform_is_unimodular():
-    rows = [[F(4), F(2), F(0)], [F(2), F(8), F(2)], [F(0), F(2), F(4)]]
-    h, u = hnf_with_transform(rows)
-    assert abs(det(u)) == 1
-    prod = [
-        [sum(u[i][k] * rows[k][j] for k in range(3)) for j in range(3)]
-        for i in range(len(u))
-    ]
-    assert prod == h
-
-
-def test_left_kernel():
-    rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]
-    kern = left_kernel(rows)
-    assert len(kern) == 1
-    for vec in kern:
-        for j in range(2):
-            assert sum(vec[i] * rows[i][j] for i in range(3)) == 0
-
-
 def test_integer_span_points_oracle():
     # brute force: integer points of the rational row span, reduced to a basis
     assert integer_span_points([[F(1, 2), F(1, 2)]], 2) == [[1, 1]]
@@ -150,6 +140,67 @@ def test_integer_span_points_oracle():
     # span contains no integer point except multiples of (2, 3)
     pts = integer_span_points([[F(2, 3), F(1)]], 2)
     assert hnf(pts) == [[2, 3]]
+
+
+def test_integer_span_points_against_box_enumeration():
+    # every integer point of a box that lies in the span is in the returned
+    # lattice, every basis row is an integer point of the span, and when the
+    # basis fits in the box the box points generate exactly that lattice
+    rng = random.Random(17)
+    box = 3
+    generated = 0
+    for _ in range(60):
+        ncols = rng.randint(1, 3)
+        span = [[F(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(ncols)]
+                for _ in range(rng.randint(0, ncols))]
+        r = rank(span, ncols)
+        points = [list(x) for x in itertools.product(range(-box, box + 1), repeat=ncols)
+                  if rank(span + [list(map(F, x))], ncols) == r]
+        basis = integer_span_points(span, ncols)
+        assert len(basis) == r
+        for row in basis:
+            assert all(isinstance(v, int) for v in row)
+            assert rank(span + [list(map(F, row))], ncols) == r
+        assert hnf(basis + points) == basis
+        if all(abs(v) <= box for row in basis for v in row):
+            assert hnf(points) == basis
+            generated += 1
+    assert generated > 40
+
+
+def _sympy_rows(mat):
+    return [[Fraction(int(v.p), int(v.q)) for v in mat.row(i)] for i in range(mat.rows)]
+
+
+def test_elimination_and_hnf_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(23)
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            rows[-1] = [2 * v for v in rows[0]]
+        ref, ref_pivots = sympy.Matrix(rows).rref()
+        reduced, pivots = rref(rows, n)
+        assert pivots == list(ref_pivots)
+        assert reduced == _sympy_rows(ref)[: len(pivots)]
+        square = [row[:m] + [F(0)] * (m - len(row[:m])) for row in rows]
+        ref_det = sympy.Matrix(square).det()
+        assert det(square) == Fraction(int(ref_det.p), int(ref_det.q))
+        inv = invert(square)
+        if ref_det == 0:
+            assert inv is None
+        else:
+            assert inv == _sympy_rows(sympy.Matrix(square).inv())
+        ints = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if any(any(row) for row in ints):
+            # sympy's column form of the column-reversed transpose, reversed
+            # back, is the row form with pivots left to right
+            ref_h = hermite_normal_form(sympy.Matrix([row[::-1] for row in ints]).T).T
+            expected = [[int(v) for v in ref_h.row(i)][::-1] for i in range(ref_h.rows)][::-1]
+            assert hnf(ints) == expected
 
 
 def test_rat_lattice_membership():
