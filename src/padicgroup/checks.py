@@ -8,6 +8,7 @@ raising.  The registry keys are part of the CLI contract.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -23,8 +24,7 @@ from .construction import (
     level_count,
 )
 from .certificates import certify_free, divisibility_witness, verify_witness, witness_primes
-from .errors import CapacityExceededError
-from .group import in_integer_axis, is_member, purify, spans_disjoint
+from .group import in_integer_axis, is_member, spans_disjoint
 from .vectors import FinVec, GroupElement, element
 
 
@@ -279,7 +279,9 @@ CHECKS = {
 def run_check(name: str, config: Config = DEFAULT, **params) -> CheckReport:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; available: {sorted(CHECKS)}")
+    # bind first, so a TypeError raised inside the check is not taken for bad parameters
     try:
-        return CHECKS[name](config=config, **params)
+        inspect.signature(CHECKS[name]).bind(config=config, **params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for check {name!r}: {exc}") from None
+    return CHECKS[name](config=config, **params)

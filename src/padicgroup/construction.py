@@ -11,6 +11,9 @@ The family is built in three frozen, deterministic steps:
    with the reduced partition vector of p equals the target residue.
    The target dodges finitely many forbidden values (see build_context)
    so that the freeness argument downstream can always pick its pivot.
+   The context stores the last coordinate where the reduced partition
+   vector is nonzero as its pivot: level-set points take base-p digits
+   on the other coordinates and solve the constraint there.
 2. A round-robin stream over the level set, consumed in blocks: block k
    takes the next k+1 stream items, lifted to {0..p-1} representatives.
    The stream cycles so every level-set element is eventually lifted.
@@ -46,6 +49,7 @@ class PrimeContext:
     vec_mod: tuple[int, ...]   # vec reduced mod p on coordinates 1..width
     target: int                # required inner-product residue in 0..p-1
     relevant: tuple[int, ...]  # enumeration indices the target must dodge
+    pivot: int | None          # largest i with vec_mod[i-1] != 0; None when vec_mod vanishes
 
     def to_json(self) -> dict:
         return {
@@ -79,7 +83,8 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
         i for i in range(1, p - 1)
         if enum_qvec(i).denominator_lcm() % p != 0
     )
-    if not any(vec_mod):
+    pivot = max((i for i, v in enumerate(vec_mod, start=1) if v), default=None)
+    if pivot is None:
         target = 0
     else:
         forbidden = set()
@@ -87,7 +92,7 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
             value = -enum_qvec(i).inner(vec)
             forbidden.add(reduce_mod(value, p, 1))
         target = next(t for t in range(1, p) if t not in forbidden)
-    return PrimeContext(p, vec, width, vec_mod, target, relevant)
+    return PrimeContext(p, vec, width, vec_mod, target, relevant, pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,7 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
 
 def level_count(ctx: PrimeContext) -> int:
     """Exact size of the level set (a big integer for large p)."""
-    if not any(ctx.vec_mod):
+    if ctx.pivot is None:
         return ctx.p ** ctx.width
     return ctx.p ** (ctx.width - 1)
 
@@ -109,14 +114,6 @@ def level_contains(ctx: PrimeContext, v: FinVec) -> bool:
             raise ValueError("level vectors carry residues in 0..p-1")
     total = sum(value * ctx.vec_mod[i - 1] for i, value in v.items())
     return total % ctx.p == ctx.target
-
-
-def _pivot(ctx: PrimeContext) -> int | None:
-    """Largest coordinate where the reduced partition vector is nonzero."""
-    for i in range(ctx.width, 0, -1):
-        if ctx.vec_mod[i - 1]:
-            return i
-    return None
 
 
 def _digit_entries(idx: int, p: int, coords) -> dict:
@@ -138,9 +135,7 @@ def _hyperplane_points(ctx: PrimeContext, w: int, indices):
     free.
     """
     p = ctx.p
-    pivot = _pivot(ctx)
-    if pivot is not None and pivot > w:
-        pivot = None
+    pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
     free = [c for c in range(1, w + 1) if c != pivot]
     inv = pow(ctx.vec_mod[pivot - 1], -1, p) if pivot is not None else 0
     for idx in indices:
@@ -238,8 +233,7 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
         return
     p = ctx.p
     w2 = min(w, ctx.width)
-    pivot = _pivot(ctx)
-    affine = pivot is not None and pivot <= w2
+    affine = ctx.pivot is not None and ctx.pivot <= w2
     hyper_count = p ** (w2 - 1) if affine else p ** w2
     kmax = visible_block_limit(p, m)
     required = hyper_count + kmax * (kmax + 3) // 2

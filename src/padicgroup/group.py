@@ -4,8 +4,9 @@ The group lives inside pairs (x0, x) of a rational and a finitely supported
 rational vector.  An element belongs iff for every prime p the value
 x0 + <phi, x> is p-integral for all condition vectors phi attached to p.
 That is an infinite family, but the value only depends on phi through its
-residue on the support window of x modulo a power of p, so membership
+residue r on the support window of x modulo a power of p, so membership
 reduces to the finite residue sets produced by the construction module.
+Membership and saturation share one scan of l_r(y) = y0 + <r, y.x> over them.
 
 Purification computes the pure closure of a finitely generated subgroup:
 all group elements some positive multiple of which falls in the rational
@@ -24,7 +25,7 @@ from .bookkeeping import FINGERPRINT
 from .config import DEFAULT, Config
 from .construction import build_context, iter_window_residues
 from .errors import CapacityExceededError, NotInGroupError
-from .vectors import FinVec, GroupElement, min_valuation
+from .vectors import FinVec, GroupElement
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,25 +50,36 @@ class MembershipVerdict:
         }
 
 
+def _residue_values(rows: list[list[int]], w: int, den: int, p: int, lift: int, config: Config):
+    """Yield (r, [den * l_r(row / den) for row in rows]) over the residues r mod
+    p^m of p on the window [1, w].  With lift 0, m is just deep enough to
+    decide whether each l_r is p-integral; lift 1 also determines l_r mod p."""
+    e = valuation(den, p)
+    # lowest valuation of a numerator on the x columns; an all-zero x part gives m = max(1, lift)
+    lowest = min((valuation(v, p) for row in rows for v in row[1:] if v), default=e)
+    m = max(1, lift + e - lowest)
+    for r in iter_window_residues(build_context(p, config), w, m, config):
+        items = r.items()
+        yield r, [row[0] + sum(v * row[i] for i, v in items) for row in rows]
+
+
 def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     """Decide membership, reporting the first violated (prime, residue) pair.
 
     Only primes dividing some component denominator can fail: condition
     vectors are integral, so they keep p-integral inputs p-integral.
     """
-    primes = prime_factors(e.denominator_lcm())
-    w = e.x.max_support
+    den = e.denominator_lcm()
+    primes = prime_factors(den)
+    row = [int(v * den) for v in element_row(e, e.x.max_support)]
     for p in primes:
-        ctx = build_context(p, config)
-        # modulus large enough that the window residue determines the value
-        m = max(1, -min(0, min_valuation(e.x, p)))
-        for r in iter_window_residues(ctx, w, m, config):
-            value = e.x0 + r.inner(e.x)
-            if valuation(value, p) < 0:
+        scale = p ** valuation(den, p)
+        for r, (num,) in _residue_values([row], e.x.max_support, den, p, 0, config):
+            if num % scale:
                 if e.x.is_zero:
                     reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
                 else:
-                    reason = f"x0 + <r, x> = {value} is not {p}-integral"
+                    reason = f"x0 + <r, x> = {Fraction(num, den)} is not {p}-integral"
                 return MembershipVerdict(
                     member=False,
                     failing_prime=p,
@@ -138,17 +150,11 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     p, so the members form the kernel of one residue-by-row matrix over
     F_p.  The scan stops as soon as that matrix has full column rank.
     """
-    e = valuation(lat.den, p)
-    scale = p**e
-    # lowest valuation of a numerator on the x columns; an all-zero x part gives m = 1
-    lowest = min((valuation(v, p) for row in lat.rows for v in row[1:] if v), default=e)
-    m = max(1, 1 + e - lowest)
+    scale = p ** valuation(lat.den, p)
     echelon = linalg.EchelonModP(p, lat.dim)
-    for r in iter_window_residues(build_context(p, config), lat.ncols - 1, m, config):
-        items = r.items()
+    for _, nums in _residue_values(lat.rows, lat.ncols - 1, lat.den, p, 1, config):
         values = []
-        for row in lat.rows:
-            num = row[0] + sum(v * row[i] for i, v in items)
+        for row, num in zip(lat.rows, nums):
             if num % scale:
                 raise NotInGroupError(f"lattice row {row} / {lat.den} is not a group element at {p}")
             values.append(num // scale)

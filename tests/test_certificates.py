@@ -210,6 +210,41 @@ def test_certificate_rejects_singular_translate_matrix():
     assert out.reason == "matrix for prime 2 is singular"
 
 
+@pytest.mark.parametrize("field,value,reason", [
+    ("m", 1, "record for prime 2 claims m = 1, recomputed 0"),
+    ("r", 0, "record for prime 2 claims r = 0, recomputed 1"),
+    ("z_rows", ((F(5, 2),),), "stored matrix for prime 2 does not match the translates"),
+])
+def test_certificate_rejects_altered_record(field, value, reason):
+    gens = [element(1, {1: 2})]
+    cert = certify_free(gens)
+    rec = cert.bad[0]
+    assert (rec.p, rec.selected, rec.z_rows, rec.m, rec.r) == (2, (0,), ((F(3, 2),),), 0, 1)
+    bent = dataclasses.replace(rec, **{field: value})
+    out = verify_certificate(gens, dataclasses.replace(cert, bad=(bent,) + cert.bad[1:]))
+    assert not out
+    assert out.reason == reason
+
+
+def test_certificate_rejects_basis_beyond_generator_span():
+    # (1, 0) is an integer point and so a member, but it lies outside the span
+    # of e1; the rank comparison refuses it
+    gens = [element(0, {1: 1})]
+    cert = certify_free(gens)
+    assert cert.D == 1 and verify_certificate(gens, cert)
+    out = verify_certificate(gens, dataclasses.replace(cert, basis=(element(0, {1: 1}), element(1, {}))))
+    assert not out
+    assert out.reason == "basis span differs from generator span"
+
+
+def test_certificate_refuses_huge_index_before_enumerating():
+    gens = [element(1, {1: 2})]
+    cert = certify_free(gens)
+    out = verify_certificate(gens, dataclasses.replace(cert, index=10**12))
+    assert not out
+    assert out.reason == "certificate-incomplete: bad primes reach 1000000000001"
+
+
 def test_certificate_rejects_non_positive_index():
     gens = [element(1, {1: 2})]
     cert = certify_free(gens)

@@ -87,6 +87,17 @@ def test_run_check_dispatch():
         run_check("m-props", bogus=1)
 
 
+def test_run_check_lets_internal_type_errors_through(monkeypatch):
+    def broken(p, config=None):
+        raise TypeError("raised inside the check")
+
+    monkeypatch.setitem(CHECKS, "m-props", broken)
+    with pytest.raises(TypeError, match="raised inside the check"):
+        run_check("m-props", p=2)
+    with pytest.raises(ValueError, match="bad parameters"):
+        run_check("m-props", kmax=2)
+
+
 def test_checks_are_deterministic():
     a = check_axis_purity(samples=15, seed=4).to_json()
     b = check_axis_purity(samples=15, seed=4).to_json()

@@ -55,6 +55,7 @@ EXIT_CASES = [
     (("enum", "partition", "--from", "1", "--to", "5"), 0),
     (("check", "div-infinitude", "--n", "2"), 0),
     (("check", "no-such-suite"), 2),
+    (("check", "m-props", "--p", "3", "--pairs", "2"), 2),
     (("--residue-cap", "1", "member", '{"x0": "-1/4", "x": {"1": "-1/4"}}'), 3),
     (("--version",), 0),
 ]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicgroup.arith import primes_up_to
 from padicgroup.config import DEFAULT
 from padicgroup.construction import (
     ConditionBlock,
@@ -63,6 +64,14 @@ def test_context_json_contract():
     data = build_context(2).to_json()
     assert set(data) == {"p", "x", "l", "relevant", "a", "fingerprint"}
     assert data["p"] == 2 and data["l"] == 3 and data["a"] == 1
+
+
+@pytest.mark.parametrize("p", primes_up_to(50))
+def test_context_pivot_is_last_nonzero_reduced_coordinate(p):
+    ctx = build_context(p)
+    last = next((i for i in range(ctx.width, 0, -1) if ctx.vec_mod[i - 1] != 0), None)
+    assert ctx.pivot == last
+    assert level_count(ctx) == p ** (ctx.width - (last is not None))
 
 
 def test_level_set_p2_order():

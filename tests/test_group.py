@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from padicgroup.arith import prime_factors, valuation
 from padicgroup.bookkeeping import FINGERPRINT
+from padicgroup.construction import build_context, iter_window_residues
 from padicgroup.errors import NotInGroupError
 from padicgroup.group import (
+    MembershipVerdict,
     PurifyResult,
     element_row,
     in_integer_axis,
@@ -17,7 +21,7 @@ from padicgroup.group import (
     spans_disjoint,
 )
 from padicgroup.linalg import RatLattice
-from padicgroup.vectors import FinVec, GroupElement, element
+from padicgroup.vectors import FinVec, GroupElement, element, min_valuation
 
 F = Fraction
 
@@ -59,6 +63,65 @@ def test_membership_failure_details():
     verdict = membership(element(0, {1: F(1, 2)}))
     assert verdict.failing_prime == 2
     assert verdict.failing_residue is not None
+
+
+def reference_membership(e: GroupElement) -> MembershipVerdict:
+    """The former membership loop: one Fraction value and one valuation per
+    residue, with m = max(1, -min v_p(x)).  Kept as an oracle for the shared
+    integer scan."""
+    primes = prime_factors(e.denominator_lcm())
+    for p in primes:
+        m = max(1, -min(0, min_valuation(e.x, p)))
+        for r in iter_window_residues(build_context(p), e.x.max_support, m):
+            value = e.x0 + r.inner(e.x)
+            if valuation(value, p) < 0:
+                if e.x.is_zero:
+                    reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
+                else:
+                    reason = f"x0 + <r, x> = {value} is not {p}-integral"
+                return MembershipVerdict(False, p, r, reason, tuple(primes))
+    return MembershipVerdict(True, checked_primes=tuple(primes))
+
+
+SMALL_PRIMES = [2, 3, 5, 7]
+
+
+@st.composite
+def windowed_elements(draw):
+    """Elements on windows 0-3 whose entries have denominators p^a q^b with
+    p != q in {2, 3, 5, 7} and a, b <= 3, so the scan modulus stays below
+    p^4.  Half of those with a window are integer points plus a multiple of
+    the member (-1/p)(1, e1), p in {2, 3, 7}, so members are drawn as well."""
+    w = draw(st.integers(0, 3))
+    if w and draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3, 7]))
+        point = element(draw(st.integers(-3, 3)), {i: draw(st.integers(-3, 3)) for i in range(1, w + 1)})
+        return point + element(F(-1, p), {1: F(-1, p)}).scale(draw(st.integers(1, p - 1)))
+
+    def rational():
+        p, q = draw(st.permutations(SMALL_PRIMES))[:2]
+        den = p ** draw(st.integers(0, 3)) * q ** draw(st.integers(0, 3))
+        return F(draw(st.integers(-2 * den, 2 * den)), den)
+
+    return element(rational(), {i: rational() for i in range(1, w + 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_elements())
+@example(element(F(1, 4), {1: F(3, 4)}))  # fails only on a perturbed residue mod 4
+@example(element(F(1, 9), {1: F(4, 9)}))
+def test_membership_matches_fraction_reference(e):
+    assert membership(e).to_json() == reference_membership(e).to_json()
+
+
+@pytest.mark.parametrize("den", [4, 8, 9, 25, 27])
+def test_membership_matches_fraction_reference_on_a_grid(den):
+    # every (a/den, (b/den) e1): a few of them fail only on a perturbed block
+    # residue, which the scan reaches only with the full modulus
+    for a in range(den):
+        for b in range(den):
+            e = element(F(a, den), {1: F(b, den)})
+            assert membership(e).to_json() == reference_membership(e).to_json(), e
 
 
 def test_membership_checks_only_denominator_primes():
@@ -185,6 +248,7 @@ def test_saturation_kernel():
     # Z^2 saturates at 2 along the witness direction (-1/2, -1/2) only
     square = RatLattice.from_rows([[1, 0], [0, 1]], 2)
     assert saturation_kernel(square, 2) == [[1, 1]]
+    assert saturation_kernel(RatLattice.from_rows([], 3), 2) == []
 
 
 def test_purify_dim4_default_cap_completes():
