@@ -301,7 +301,7 @@ def _bad_primes(lam: FinVec, index: int, k: int, config: Config) -> list[int]:
 
 def _translate_rows(p: int, k: int, lam: FinVec, config: Config) -> list[list[Fraction]]:
     block = condition_block(build_context(p, config), k)
-    return [[(phi + lam)[i] for i in range(1, k + 1)] for phi in block.vectors]
+    return [[phi[i] + lam[i] for i in range(1, k + 1)] for phi in block.vectors]
 
 
 def _select_independent(rows: list[list[Fraction]], k: int) -> list[int]:

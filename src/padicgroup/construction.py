@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime, reduce_mod
-from .bookkeeping import FINGERPRINT, enum_qvec, partition_vector
+from .arith import is_prime
+from .bookkeeping import FINGERPRINT, enum_qvec, partition_vector, qvec_denominators
 from .config import DEFAULT, Config
 from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
 from .vectors import FinVec
@@ -50,6 +50,11 @@ class PrimeContext:
     target: int                # required inner-product residue in 0..p-1
     relevant: tuple[int, ...]  # enumeration indices the target must dodge
     pivot: int | None          # largest i with vec_mod[i-1] != 0; None when vec_mod vanishes
+
+    def __hash__(self) -> int:
+        # condition_block's cache hashes its context on every call; the
+        # generated hash would walk vec_mod and relevant, about 2p integers
+        return hash((self.p, self.width, self.target))
 
     def to_json(self) -> dict:
         return {
@@ -79,18 +84,14 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
     vec = partition_vector(p, scan_cap=config.scan_cap)
     width = 1 + max(p, vec.max_support)
     vec_mod = tuple(int(vec[i]) % p for i in range(1, width + 1))
-    relevant = tuple(
-        i for i in range(1, p - 1)
-        if enum_qvec(i).denominator_lcm() % p != 0
-    )
+    relevant = tuple(i for i, d in enumerate(qvec_denominators(p - 2), start=1) if d % p)
     pivot = max((i for i, v in enumerate(vec_mod, start=1) if v), default=None)
     if pivot is None:
         target = 0
     else:
-        forbidden = set()
-        for i in relevant:
-            value = -enum_qvec(i).inner(vec)
-            forbidden.add(reduce_mod(value, p, 1))
+        # relevant inner products are p-integral: reduce them by a modular inverse
+        values = (enum_qvec(i).inner(vec) for i in relevant)
+        forbidden = {-v.numerator * pow(v.denominator, -1, p) % p for v in values}
         target = next(t for t in range(1, p) if t not in forbidden)
     return PrimeContext(p, vec, width, vec_mod, target, relevant, pivot)
 
@@ -206,6 +207,36 @@ def visible_block_limit(p: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # exact residue sets on finite windows
 
+def _layer_shape(ctx: PrimeContext, w: int, m: int, config: Config) -> tuple[int, int, int]:
+    """(w2, free, kmax) of the residues mod p^m on window [1, w]: the clipped
+    window, the number of free coordinates of its hyperplane layer (which
+    therefore holds p^free points) and the last visible block.  Refuses a
+    residue set larger than the configured cap before any of it is built."""
+    p = ctx.p
+    w2 = min(w, ctx.width)
+    free = w2 - 1 if ctx.pivot is not None and ctx.pivot <= w2 else w2
+    kmax = visible_block_limit(p, m)
+    required = p ** free + kmax * (kmax + 3) // 2
+    if required > config.residue_cap:
+        raise CapacityExceededError(
+            f"residue set on window {w} mod {p}^{m} needs {required} entries",
+            required=required, cap=config.residue_cap)
+    return w2, free, kmax
+
+
+def layer_spanning_points(ctx: PrimeContext, w: int, config: Config = DEFAULT) -> list[FinVec]:
+    """Points that affinely span the residues mod p on window [1, w].
+
+    Mod p no block is visible, so the residue set is the hyperplane layer
+    alone.  Its points at digit indices 0, 1, p, ..., p^(free-1) differ from
+    the first one by one unit step on each free coordinate (plus a pivot
+    correction), so their affine span is the whole layer.  The cap applies
+    as for the full residue set.
+    """
+    w2, free, _ = _layer_shape(ctx, w, 1, config)
+    return list(_hyperplane_points(ctx, w2, [0] + [ctx.p ** j for j in range(free)]))
+
+
 def iter_window_residues(ctx: PrimeContext, w: int, m: int,
                          config: Config = DEFAULT):
     """Exact residues mod p^m of the whole family on window [1, w].
@@ -232,17 +263,10 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
         yield FinVec.zero()
         return
     p = ctx.p
-    w2 = min(w, ctx.width)
-    affine = ctx.pivot is not None and ctx.pivot <= w2
-    hyper_count = p ** (w2 - 1) if affine else p ** w2
-    kmax = visible_block_limit(p, m)
-    required = hyper_count + kmax * (kmax + 3) // 2
-    if required > config.residue_cap:
-        raise CapacityExceededError(
-            f"residue set on window {w} mod {p}^{m} needs {required} entries",
-            required=required, cap=config.residue_cap)
+    w2, free, kmax = _layer_shape(ctx, w, m, config)
+    affine = free < w2
     # digit decoding is injective, so the hyperplane layer needs no dedup
-    yield from _hyperplane_points(ctx, w2, range(hyper_count))
+    yield from _hyperplane_points(ctx, w2, range(p ** free))
 
     def in_hyperplane_layer(entries: dict) -> bool:
         if any(i > w2 or value >= p for i, value in entries.items()):

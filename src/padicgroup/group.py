@@ -23,7 +23,7 @@ from . import linalg
 from .arith import prime_factors, primes_up_to, valuation
 from .bookkeeping import FINGERPRINT
 from .config import DEFAULT, Config
-from .construction import build_context, iter_window_residues
+from .construction import build_context, iter_window_residues, layer_spanning_points
 from .errors import CapacityExceededError, NotInGroupError
 from .vectors import FinVec, GroupElement
 
@@ -50,15 +50,19 @@ class MembershipVerdict:
         }
 
 
-def _residue_values(rows: list[list[int]], w: int, den: int, p: int, lift: int, config: Config):
-    """Yield (r, [den * l_r(row / den) for row in rows]) over the residues r mod
-    p^m of p on the window [1, w].  With lift 0, m is just deep enough to
-    decide whether each l_r is p-integral; lift 1 also determines l_r mod p."""
+def _modulus(rows: list[list[int]], den: int, p: int, lift: int) -> int:
+    """The exponent m such that the residues mod p^m decide den * l_r(row / den)
+    for every residue r: with lift 0 whether each l_r is p-integral, with
+    lift 1 also l_r mod p."""
     e = valuation(den, p)
     # lowest valuation of a numerator on the x columns; an all-zero x part gives m = max(1, lift)
     lowest = min((valuation(v, p) for row in rows for v in row[1:] if v), default=e)
-    m = max(1, lift + e - lowest)
-    for r in iter_window_residues(build_context(p, config), w, m, config):
+    return max(1, lift + e - lowest)
+
+
+def _residue_values(rows: list[list[int]], residues):
+    """Yield (r, [den * l_r(row / den) for row in rows]) for each residue r."""
+    for r in residues:
         items = r.items()
         yield r, [row[0] + sum(v * row[i] for i, v in items) for row in rows]
 
@@ -68,13 +72,28 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
 
     Only primes dividing some component denominator can fail: condition
     vectors are integral, so they keep p-integral inputs p-integral.
+
+    At modulus exponent m = 1, p^(e-1) divides every x numerator, where
+    e = v_p(den), so f(r) = den * l_r mod p^e is affine in r mod p.  The
+    residues are then the layer points alone, and the point of digit index
+    n = sum d_j p^j takes the value f(q_0) + sum d_j (f(q_{p^j}) - f(q_0)).
+    So f vanishes on the layer iff it vanishes at the spanning points
+    q_0, q_1, q_p, q_{p^2}, ..., and the first of them where it does not
+    is also the first failing residue of the full scan.
     """
     den = e.denominator_lcm()
     primes = prime_factors(den)
-    row = [int(v * den) for v in element_row(e, e.x.max_support)]
+    w = e.x.max_support
+    row = [int(v * den) for v in element_row(e, w)]
     for p in primes:
         scale = p ** valuation(den, p)
-        for r, (num,) in _residue_values([row], e.x.max_support, den, p, 0, config):
+        ctx = build_context(p, config)
+        m = _modulus([row], den, p, 0)
+        if m == 1:
+            residues = layer_spanning_points(ctx, w, config)
+        else:
+            residues = iter_window_residues(ctx, w, m, config)
+        for r, (num,) in _residue_values([row], residues):
             if num % scale:
                 if e.x.is_zero:
                     reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
@@ -152,7 +171,9 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     """
     scale = p ** valuation(lat.den, p)
     echelon = linalg.EchelonModP(p, lat.dim)
-    for _, nums in _residue_values(lat.rows, lat.ncols - 1, lat.den, p, 1, config):
+    m = _modulus(lat.rows, lat.den, p, 1)
+    residues = iter_window_residues(build_context(p, config), lat.ncols - 1, m, config)
+    for _, nums in _residue_values(lat.rows, residues):
         values = []
         for row, num in zip(lat.rows, nums):
             if num % scale:

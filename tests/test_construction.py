@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from padicgroup.arith import primes_up_to
+from padicgroup.arith import primes_up_to, reduce_mod
+from padicgroup.bookkeeping import FINGERPRINT, enum_qvec, partition_vector
 from padicgroup.config import DEFAULT
 from padicgroup.construction import (
     ConditionBlock,
@@ -11,6 +13,7 @@ from padicgroup.construction import (
     build_context,
     condition_block,
     iter_window_residues,
+    layer_spanning_points,
     level_at,
     level_contains,
     level_count,
@@ -64,6 +67,26 @@ def test_context_json_contract():
     data = build_context(2).to_json()
     assert set(data) == {"p", "x", "l", "relevant", "a", "fingerprint"}
     assert data["p"] == 2 and data["l"] == 3 and data["a"] == 1
+
+
+def reference_context_json(p: int) -> dict:
+    """The former build_context loop: relevance from each enumerated vector's
+    own denominator lcm, each forbidden residue through reduce_mod."""
+    vec = partition_vector(p)
+    width = 1 + max(p, vec.max_support)
+    relevant = [i for i in range(1, p - 1) if enum_qvec(i).denominator_lcm() % p != 0]
+    if all(int(vec[i]) % p == 0 for i in range(1, width + 1)):
+        target = 0
+    else:
+        forbidden = {reduce_mod(-enum_qvec(i).inner(vec), p, 1) for i in relevant}
+        target = next(t for t in range(1, p) if t not in forbidden)
+    return {"p": p, "x": vec.to_json(), "l": width, "relevant": relevant, "a": target,
+            "fingerprint": FINGERPRINT}
+
+
+def test_context_matches_reference_loop():
+    for p in primes_up_to(500):
+        assert build_context(p).to_json() == reference_context_json(p), p
 
 
 @pytest.mark.parametrize("p", primes_up_to(50))
@@ -270,6 +293,25 @@ def test_window_residues_capacity():
         list(iter_window_residues(build_context(5), 6, 3, small))
     assert info.value.required == 5 ** 5 + 6 * 9 // 2
     assert info.value.cap == 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_layer_spanning_points_are_the_frozen_points_at_digit_powers(p):
+    # digit indices 0, 1, p, p^2, ... of the mod-p residue scan: w + 1 points
+    # on a full layer, w on a hyperplane
+    ctx = build_context(p)
+    for w in range(0, 4):
+        scan = list(iter_window_residues(ctx, w, 1))
+        free = w - (ctx.pivot <= w)
+        assert len(scan) == p ** free
+        assert layer_spanning_points(ctx, w) == [scan[0]] + [scan[p ** j] for j in range(free)]
+
+
+def test_context_hash_skips_the_long_tuples():
+    # condition_block's cache hashes its context on every call
+    ctx = build_context(3037)
+    assert hash(dataclasses.replace(ctx, vec_mod=(), relevant=())) == hash(ctx)
+    assert condition_block(ctx, 2) is condition_block(ctx, 2)
 
 
 def test_contexts_are_cached():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from padicgroup.arith import prime_factors, valuation
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.construction import build_context, iter_window_residues
-from padicgroup.errors import NotInGroupError
+from padicgroup import group as group_module
+from padicgroup.config import DEFAULT
+from padicgroup.errors import CapacityExceededError, NotInGroupError
 from padicgroup.group import (
     MembershipVerdict,
     PurifyResult,
@@ -122,6 +125,67 @@ def test_membership_matches_fraction_reference_on_a_grid(den):
         for b in range(den):
             e = element(F(a, den), {1: F(b, den)})
             assert membership(e).to_json() == reference_membership(e).to_json(), e
+
+
+SPANNING_GRID = [(2, 3), (3, 3), (5, 3), (7, 3), (13, 2)]  # (p, largest window)
+
+
+def test_spanning_grid_covers_both_layer_kinds():
+    # below the pivot the mod-p layer is all of F_p^w, from it on a hyperplane
+    kinds = {build_context(p).pivot > w for p, wmax in SPANNING_GRID for w in range(1, wmax + 1)}
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("p, wmax", SPANNING_GRID)
+def test_membership_at_modulus_one_matches_reference_on_a_grid(p, wmax):
+    # every (a/p, (b_1/p, ..., b_w/p)): modulus exponent 1, decided from the
+    # layer's spanning points alone
+    for w in range(wmax + 1):
+        for a, *bs in itertools.product(range(p), repeat=w + 1):
+            e = element(F(a, p), {i: F(b, p) for i, b in enumerate(bs, start=1)})
+            assert membership(e).to_json() == reference_membership(e).to_json(), e
+
+
+@pytest.mark.parametrize("p, e, wmax", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1), (5, 2, 2)])
+def test_membership_at_modulus_one_with_a_higher_power_matches_reference(p, e, wmax):
+    # den = p^e while every x numerator is divisible by p^(e-1), so m is still 1
+    den = p ** e
+    for w in range(wmax + 1):
+        for a, *bs in itertools.product(range(1, den, p), *[range(p)] * w):
+            x = element(F(a, den), {i: F(b, p) for i, b in enumerate(bs, start=1)})
+            assert valuation(x.denominator_lcm(), p) == e
+            assert membership(x).to_json() == reference_membership(x).to_json(), x
+
+
+def test_membership_at_modulus_one_opens_no_residue_scan(monkeypatch):
+    # the witness z_p at p = 3037 plus the integer point e2: a member on
+    # window 2, whose layer is a hyperplane of 3037 points
+    p = 3037
+    ctx = build_context(p)
+    z = GroupElement(F(-ctx.target, p), ctx.vec.scale(F(1, p)) + FinVec.single(2, 1))
+    assert z.x.max_support == 2 and ctx.pivot <= 2
+    expected = reference_membership(z).to_json()
+    opened = []
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return iter_window_residues(*args, **kwargs)
+
+    monkeypatch.setattr(group_module, "iter_window_residues", counting)
+    assert membership(z).to_json() == expected
+    assert expected["member"] and opened == []
+
+
+def test_membership_at_modulus_one_keeps_the_residue_cap():
+    # a member on window 3 at p = 7: its mod-7 layer holds 49 points
+    small = DEFAULT.replace(residue_cap=48)
+    z = element(F(-1, 7), {1: F(-1, 7), 2: 1, 3: 1})
+    assert membership(z).member
+    with pytest.raises(CapacityExceededError) as scan:
+        list(iter_window_residues(build_context(7, small), 3, 1, small))
+    with pytest.raises(CapacityExceededError) as info:
+        membership(z, small)
+    assert (str(info.value), info.value.required, info.value.cap) == (str(scan.value), 49, 48)
 
 
 def test_membership_checks_only_denominator_primes():
