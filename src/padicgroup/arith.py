@@ -18,22 +18,19 @@ from .errors import NotPAdicIntegerError, NotPrimeError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# no leading zeros, no "-0", and a denominator only when it is at least 2
+_RATIONAL_RE = re.compile(r"0|-?[1-9][0-9]*(/([2-9]|[1-9][0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical ``n`` / ``n/d`` form; reject anything non-canonical."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational literal: {text!r}")
-    if "/" in text:
-        num_s, den_s = text.split("/")
-        num, den = int(num_s), int(den_s)
-        if den == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        if math.gcd(abs(num), den) != 1:
-            raise ValueError(f"rational not in reduced form: {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    num_s, _, den_s = text.partition("/")
+    num, den = int(num_s), int(den_s or 1)
+    if math.gcd(abs(num), den) != 1:
+        raise ValueError(f"rational not in reduced form: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction | int) -> str:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .arith import valuation
+from .arith import reduce_mod, valuation
 from .bookkeeping import FINGERPRINT, enum_qvec
 from .config import DEFAULT, Config
 from .construction import (
@@ -99,10 +99,7 @@ def check_block_props(p: int, kmax: int = 6, samples: int = 20, seed: int = 0,
     rng = random.Random(seed)
     details: dict = {"p": p, "kmax": kmax, "samples": samples, "dets": {}}
     if not all(v == 0 for v in ctx.vec_mod):
-        forbidden = set()
-        for i in ctx.relevant:
-            lam = enum_qvec(i)
-            forbidden.add(int((-lam.inner(ctx.vec)) % p))
+        forbidden = {reduce_mod(-enum_qvec(i).inner(ctx.vec), p) for i in ctx.relevant}
         if ctx.target == 0 or ctx.target in forbidden:
             details["counterexample"] = {"target": ctx.target, "forbidden": sorted(forbidden)}
             return CheckReport("phi-props", False, details)

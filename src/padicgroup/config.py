@@ -30,7 +30,7 @@ class Config:
         for field in dataclasses.fields(self):
             if field.type == "int":
                 value = getattr(self, field.name)
-                if not isinstance(value, int) or value < 1:
+                if type(value) is not int or value < 1:
                     raise ValueError(f"{field.name} must be a positive integer")
         if self.fingerprint != FINGERPRINT:
             raise FingerprintMismatchError(

@@ -50,18 +50,30 @@ class MembershipVerdict:
         }
 
 
-def _modulus(rows: list[list[int]], den: int, p: int, lift: int) -> int:
-    """The exponent m such that the residues mod p^m decide den * l_r(row / den)
-    for every residue r: with lift 0 whether each l_r is p-integral, with
-    lift 1 also l_r mod p."""
+def _residue_values(rows: list[list[int]], den: int, p: int, w: int, lift: int, config: Config):
+    """Yield (r, [den * l_r(row / den) for row in rows]) over residues r that
+    decide whether each l_r is p-integral and, with lift 1, also l_r mod p.
+
+    They are the residues mod p^m on the window [1, w], where m = max(1,
+    lift + e - lowest), e = v_p(den) and lowest is the least valuation of an
+    x numerator.  At m = 1, f(r) = den * l_r mod p^(e+lift) is affine over
+    F_p in r mod p: the layer point of digit index n = sum d_j p^j takes the
+    value f(q_0) + sum d_j (f(q_{p^j}) - f(q_0)).  So the spanning points
+    q_0, q_1, q_p, ... suffice: a row's first failure in scan order is one
+    of them, and their values span the layer's rows over F_p, so
+    EchelonModP, a reduced echelon form, finds the same kernel.  An empty
+    window has the zero residue only and needs no context.
+    """
     e = valuation(den, p)
     # lowest valuation of a numerator on the x columns; an all-zero x part gives m = max(1, lift)
     lowest = min((valuation(v, p) for row in rows for v in row[1:] if v), default=e)
-    return max(1, lift + e - lowest)
-
-
-def _residue_values(rows: list[list[int]], residues):
-    """Yield (r, [den * l_r(row / den) for row in rows]) for each residue r."""
+    m = max(1, lift + e - lowest)
+    if w == 0:
+        residues = [FinVec.zero()]
+    elif m == 1:
+        residues = layer_spanning_points(build_context(p, config), w, config)
+    else:
+        residues = iter_window_residues(build_context(p, config), w, m, config)
     for r in residues:
         items = r.items()
         yield r, [row[0] + sum(v * row[i] for i, v in items) for row in rows]
@@ -72,14 +84,6 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
 
     Only primes dividing some component denominator can fail: condition
     vectors are integral, so they keep p-integral inputs p-integral.
-
-    At modulus exponent m = 1, p^(e-1) divides every x numerator, where
-    e = v_p(den), so f(r) = den * l_r mod p^e is affine in r mod p.  The
-    residues are then the layer points alone, and the point of digit index
-    n = sum d_j p^j takes the value f(q_0) + sum d_j (f(q_{p^j}) - f(q_0)).
-    So f vanishes on the layer iff it vanishes at the spanning points
-    q_0, q_1, q_p, q_{p^2}, ..., and the first of them where it does not
-    is also the first failing residue of the full scan.
     """
     den = e.denominator_lcm()
     primes = prime_factors(den)
@@ -87,13 +91,7 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     row = [int(v * den) for v in element_row(e, w)]
     for p in primes:
         scale = p ** valuation(den, p)
-        ctx = build_context(p, config)
-        m = _modulus([row], den, p, 0)
-        if m == 1:
-            residues = layer_spanning_points(ctx, w, config)
-        else:
-            residues = iter_window_residues(ctx, w, m, config)
-        for r, (num,) in _residue_values([row], residues):
+        for r, (num,) in _residue_values([row], den, p, w, 0, config):
             if num % scale:
                 if e.x.is_zero:
                     reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
@@ -165,15 +163,13 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     (1/p) sum c_i b_i can then fail membership only at p, and it is a
     member iff sum c_i l_r(b_i) = 0 mod p for every window residue r of
     the family, where l_r(y) = y0 + <r, y.x> is p-integral.  The residues
-    mod p^m with m = max(1, 1 - min_i v_p(b_i.x)) determine every l_r mod
-    p, so the members form the kernel of one residue-by-row matrix over
-    F_p.  The scan stops as soon as that matrix has full column rank.
+    of _residue_values determine every l_r mod p, so the members form the
+    kernel of one residue-by-row matrix over F_p.  The scan stops as soon
+    as that matrix has full column rank.
     """
     scale = p ** valuation(lat.den, p)
     echelon = linalg.EchelonModP(p, lat.dim)
-    m = _modulus(lat.rows, lat.den, p, 1)
-    residues = iter_window_residues(build_context(p, config), lat.ncols - 1, m, config)
-    for _, nums in _residue_values(lat.rows, residues):
+    for _, nums in _residue_values(lat.rows, lat.den, p, lat.ncols - 1, 1, config):
         values = []
         for row, num in zip(lat.rows, nums):
             if num % scale:

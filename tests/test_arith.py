@@ -24,7 +24,8 @@ def test_parse_rational_round_trip():
 
 
 def test_parse_rational_rejects_garbage():
-    for text in ["", "1/0", "2/4", "-2/-4", "1.5", "3 / 4", "+5", "a/b", "1/ 2"]:
+    for text in ["", "1/0", "2/4", "-2/-4", "1.5", "3 / 4", "+5", "a/b", "1/ 2",
+                 "1\n", "007", "-0", "2/1", "-0/1", "3/01"]:
         with pytest.raises(ValueError):
             parse_rational(text)
 

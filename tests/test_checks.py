@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from padicgroup import checks
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.checks import (
     CHECKS,
@@ -12,6 +15,8 @@ from padicgroup.checks import (
     check_purification_disjoint,
     run_check,
 )
+from padicgroup.config import DEFAULT
+from padicgroup.construction import build_context
 from padicgroup.vectors import element
 
 
@@ -40,6 +45,17 @@ def test_block_props():
     assert report.passed
     assert report.details["dets"] == {"1": "2", "2": "16", "3": "68"}
     assert check_block_props(3, kmax=4, samples=5).passed
+
+
+def test_block_props_reports_a_forbidden_target(monkeypatch):
+    # at p = 19 the residue 9 is forbidden: <-lambda_i, vec> = 9 mod 19 for a
+    # relevant index i whose inner product is not an integer
+    ctx = dataclasses.replace(build_context(19), target=9)
+    monkeypatch.setattr(checks, "build_context", lambda p, config=DEFAULT: ctx)
+    report = check_block_props(19, kmax=1, samples=1)
+    assert not report.passed
+    counterexample = report.details["counterexample"]
+    assert counterexample["target"] == 9 and 9 in counterexample["forbidden"]
 
 
 def test_integer_inclusion():

@@ -240,3 +240,11 @@ def test_no_arguments_is_usage_error():
         [sys.executable, "-m", "padicgroup"], capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_config_file_with_a_bool_cap_exits_2(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"residue_cap": True}))
+    code, out = run("--config", str(path), "member", '{"x0": "5", "x": {}}')
+    assert code == 2, out
+    assert json.loads(out)["detail"] == "residue_cap must be a positive integer"

@@ -46,3 +46,10 @@ def test_load_config(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+
+def test_bool_cap_is_rejected():
+    # JSON true is a Python bool, which isinstance() would accept as the int 1
+    with pytest.raises(ValueError, match="residue_cap"):
+        Config.from_json({"residue_cap": True})

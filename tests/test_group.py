@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,8 +24,9 @@ from padicgroup.group import (
     saturation_kernel,
     spans_disjoint,
 )
-from padicgroup.linalg import RatLattice
+from padicgroup.linalg import EchelonModP, RatLattice
 from padicgroup.vectors import FinVec, GroupElement, element, min_valuation
+from test_purify_oracle import BOUNDED, generator_sets
 
 F = Fraction
 
@@ -188,6 +190,20 @@ def test_membership_at_modulus_one_keeps_the_residue_cap():
     assert (str(info.value), info.value.required, info.value.cap) == (str(scan.value), 49, 48)
 
 
+def test_axis_element_builds_no_context():
+    # the window is empty, so the only residue is zero and no context is read
+    misses = build_context.cache_info().misses
+    assert membership(element(F(1, 100003), {})).to_json() == {
+        "member": False,
+        "failing_prime": 100003,
+        "failing_residue": {},
+        "reason": "leading coordinate 1/100003 is not 100003-integral; axis elements must be integers",
+        "checked_primes": [100003],
+        "fingerprint": FINGERPRINT,
+    }
+    assert build_context.cache_info().misses == misses
+
+
 def test_membership_checks_only_denominator_primes():
     verdict = membership(element(F(-5, 6), {1: F(-5, 6)}))
     assert list(verdict.checked_primes) == [2, 3]
@@ -313,6 +329,88 @@ def test_saturation_kernel():
     square = RatLattice.from_rows([[1, 0], [0, 1]], 2)
     assert saturation_kernel(square, 2) == [[1, 1]]
     assert saturation_kernel(RatLattice.from_rows([], 3), 2) == []
+
+
+def modulus_exponent(lat: RatLattice, p: int) -> int:
+    """m = max(1, 1 + v_p(den) - lowest v_p of an x numerator) of a saturation scan."""
+    e = valuation(lat.den, p)
+    return max(1, 1 + e - min((valuation(v, p) for row in lat.rows for v in row[1:] if v), default=e))
+
+
+def reference_saturation_kernel(lat: RatLattice, p: int, config=DEFAULT) -> list[list[int]]:
+    """The former saturation loop over every residue mod p^m, without its
+    early stop.  Kept as an oracle for the spanning points at m = 1."""
+    scale = p ** valuation(lat.den, p)
+    echelon = EchelonModP(p, lat.dim)
+    residues = iter_window_residues(build_context(p, config), lat.ncols - 1, modulus_exponent(lat, p), config)
+    for r in residues:
+        nums = [row[0] + sum(v * row[i] for i, v in r.items()) for row in lat.rows]
+        if any(num % scale for num in nums):
+            raise NotInGroupError(f"a lattice row is not a group element at {p}")
+        echelon.insert([num // scale for num in nums])
+    return echelon.kernel()
+
+
+def purify_rounds(gens, bound=None, config=DEFAULT) -> list[tuple[RatLattice, int]]:
+    """(lattice, prime) of every saturation round that purify runs."""
+    rounds = []
+
+    def recording(lat, p, config=DEFAULT):
+        rounds.append((lat, p))
+        return saturation_kernel(lat, p, config)
+
+    with mock.patch.object(group_module, "saturation_kernel", recording):
+        purify(gens, bound, config)
+    return rounds
+
+
+def assert_kernels_match(rounds, config=DEFAULT):
+    for lat, p in rounds:
+        assert saturation_kernel(lat, p, config) == reference_saturation_kernel(lat, p, config), (lat.rows, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_saturation_kernel_matches_full_scan_on_purify_rounds(case):
+    gens, config = case
+    assert_kernels_match(purify_rounds(gens, config=config), config)
+
+
+def test_saturation_kernel_matches_full_scan_on_bounded_rounds():
+    rounds = [r for gens, bound in BOUNDED for r in purify_rounds(gens, bound)]
+    assert {modulus_exponent(lat, p) == 1 for lat, p in rounds} == {True, False}
+    assert_kernels_match(rounds)
+
+
+@pytest.mark.parametrize("rows, p", [
+    ([[F(1, 2), 0]], 2),                          # m = 1: the axis part is not 2-integral
+    ([[0, 1], [F(1, 3), F(-1, 3)]], 3),           # m = 2: (1/3)(1, -e1) fails at 3
+])
+def test_saturation_kernel_rejects_a_non_member_row(rows, p):
+    lat = RatLattice.from_rows(rows, 2)
+    assert (modulus_exponent(lat, p) == 1) == (p == 2)
+    with pytest.raises(NotInGroupError):
+        reference_saturation_kernel(lat, p)
+    with pytest.raises(NotInGroupError):
+        saturation_kernel(lat, p)
+
+
+def test_saturation_kernel_at_modulus_one_opens_no_residue_scan(monkeypatch):
+    # Z^3 at p = 3037 on window 2: the mod-p layer is a hyperplane of 3037 points
+    p = 3037
+    assert build_context(p).pivot <= 2
+    lat = RatLattice.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    assert modulus_exponent(lat, p) == 1
+    expected = reference_saturation_kernel(lat, p)
+    opened = []
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return iter_window_residues(*args, **kwargs)
+
+    monkeypatch.setattr(group_module, "iter_window_residues", counting)
+    assert saturation_kernel(lat, p) == expected
+    assert expected and opened == []
 
 
 def test_purify_dim4_default_cap_completes():
