@@ -211,19 +211,6 @@ def qvec_index(v: FinVec) -> int:
     return encode_seq([rat_code0(Fraction(v[i])) for i in range(1, top + 1)]) + 1
 
 
-_qden_lock = threading.Lock()
-_qvec_dens: list[int] = []  # enum_qvec(i).denominator_lcm() at position i-1
-
-
-def qvec_denominators(n: int) -> list[int]:
-    """Denominator lcms of enum_qvec(1..n).  They depend on the index alone,
-    so one growing list serves every prime's relevance test."""
-    with _qden_lock:
-        while len(_qvec_dens) < n:
-            _qvec_dens.append(enum_qvec(len(_qvec_dens) + 1).denominator_lcm())
-    return _qvec_dens[:n]
-
-
 def _intvec_decode(code: int) -> FinVec:
     seq = decode_seq(code - 1)
     vals = [int_at0(c) for c in seq]

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
-from .arith import is_prime
-from .bookkeeping import FINGERPRINT, enum_qvec, partition_vector, qvec_denominators
+from .arith import is_prime, reduce_mod
+from .bookkeeping import FINGERPRINT, enum_rat0, partition_vector, unpair0
 from .config import DEFAULT, Config
 from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
 from .vectors import FinVec
@@ -67,6 +68,26 @@ class PrimeContext:
         }
 
 
+def _forbidden_residues(p: int, vec: FinVec) -> set[int]:
+    """-<v_i, vec> mod p for i in 1..p-2, each from the first max_support
+    decoded components of code i-1 (see build_context for why that is exact
+    on nonzero residues)."""
+    coeffs = [vec[j] % p for j in range(1, vec.max_support + 1)]
+    # unpair0(z) returns parts <= t with t(t+1)/2 <= z, so no component of a
+    # code below p passes isqrt(2p)
+    res = [reduce_mod(enum_rat0(c), p) for c in range(isqrt(2 * p) + 2)]
+    forbidden = set()
+    for code in range(p - 2):
+        total, rest = 0, code
+        for a in coeffs:
+            if not rest:
+                break
+            x, rest = unpair0(rest - 1)
+            total += res[x] * a
+        forbidden.add(-total % p)
+    return forbidden
+
+
 @lru_cache(maxsize=None)
 def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
     """Deterministic context of a prime: window width, target, relevance.
@@ -78,20 +99,38 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
     smallest nonzero residue distinct from every inner product
     <-reduced(i-th vector), reduced partition vector> over relevant i.
     At most p-2 indices are relevant, so a legal target always exists.
+    Primes above config.prime_cap are refused before any work.
+
+    Both rules reduce to integer steps, without enumerating a vector:
+
+    * Every i < p-1 is relevant.  unpair0(z - 1) = (x, rest) has x, rest
+      < z, so each component code of index i is below i - 1.  Each height h
+      holds h itself, so a rational of 0-based code c has height at most
+      c + 1, and every component denominator is below p.
+    * Only the first s = max_support components meet the partition vector.
+      They give the inner product of the vector coded by that prefix with
+      its trailing zeros dropped.  Dropping a nonempty tail lowers a code
+      (pair0 grows in its second argument and a nonempty tail codes to at
+      least 1), so that vector has a smaller, relevant index, and the value
+      is forbidden anyway.  Non-canonical codes decode to the zero vector
+      and forbid 0, which is never a target.  No component code passes
+      isqrt(2p), so all of them lie in the residue table of
+      _forbidden_residues.
     """
+    if p > config.prime_cap:
+        raise CapacityExceededError(
+            f"prime {p} exceeds the prime cap", required=p, cap=config.prime_cap)
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     vec = partition_vector(p, scan_cap=config.scan_cap)
     width = 1 + max(p, vec.max_support)
     vec_mod = tuple(int(vec[i]) % p for i in range(1, width + 1))
-    relevant = tuple(i for i, d in enumerate(qvec_denominators(p - 2), start=1) if d % p)
+    relevant = tuple(range(1, p - 1))
     pivot = max((i for i, v in enumerate(vec_mod, start=1) if v), default=None)
     if pivot is None:
         target = 0
     else:
-        # relevant inner products are p-integral: reduce them by a modular inverse
-        values = (enum_qvec(i).inner(vec) for i in relevant)
-        forbidden = {-v.numerator * pow(v.denominator, -1, p) % p for v in values}
+        forbidden = _forbidden_residues(p, vec)
         target = next(t for t in range(1, p) if t not in forbidden)
     return PrimeContext(p, vec, width, vec_mod, target, relevant, pivot)
 

@@ -128,8 +128,9 @@ class FinVec:
             raise ValueError(f"vector JSON must be an object, got {type(data).__name__}")
         entries = {}
         for key, text in data.items():
-            if not isinstance(key, str) or not key.isdigit() or int(key) < 1:
-                raise ValueError(f"vector position must be a decimal string >= 1, got {key!r}")
+            # canonical only, so that no two keys name the same position
+            if not (isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0"):
+                raise ValueError(f"vector position must be a canonical decimal string >= 1, got {key!r}")
             val = parse_rational(text)
             if val == 0:
                 raise ValueError(f"zero entries may not be serialized (position {key})")

@@ -15,7 +15,6 @@ from padicgroup.bookkeeping import (
     pair0,
     partition_members,
     partition_vector,
-    qvec_denominators,
     qvec_index,
     unpair,
     unpair0,
@@ -119,11 +118,6 @@ def test_qvec_frozen_indices():
     for n, v in table.items():
         assert enum_qvec(n) == v, n
         assert qvec_index(v) == n, v
-
-
-def test_qvec_denominators():
-    assert qvec_denominators(400) == [enum_qvec(i).denominator_lcm() for i in range(1, 401)]
-    assert qvec_denominators(0) == []
 
 
 def test_qvec_index_inverts_enum():

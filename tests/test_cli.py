@@ -57,6 +57,10 @@ EXIT_CASES = [
     (("check", "no-such-suite"), 2),
     (("check", "m-props", "--p", "3", "--pairs", "2"), 2),
     (("--residue-cap", "1", "member", '{"x0": "-1/4", "x": {"1": "-1/4"}}'), 3),
+    (("--prime-cap", "100", "ctx", "1009"), 3),
+    (("--prime-cap", "100", "member", '{"x0": "1/100003", "x": {}}'), 1),
+    (("member", '{"x0": "0", "x": {"1": "1/2", "01": "1"}}'), 2),
+    (("member", '{"x0": "0", "x": {"\u0663": "1"}}'), 2),
     (("--version",), 0),
 ]
 

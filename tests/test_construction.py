@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from padicgroup import construction
 from padicgroup.arith import primes_up_to, reduce_mod
 from padicgroup.bookkeeping import FINGERPRINT, enum_qvec, partition_vector
 from padicgroup.config import DEFAULT
 from padicgroup.construction import (
     ConditionBlock,
     PrimeContext,
+    _forbidden_residues,
     build_context,
     condition_block,
     iter_window_residues,
@@ -87,6 +89,41 @@ def reference_context_json(p: int) -> dict:
 def test_context_matches_reference_loop():
     for p in primes_up_to(500):
         assert build_context(p).to_json() == reference_context_json(p), p
+
+
+@pytest.mark.parametrize("p", primes_up_to(500) + [1009, 3037, 10007])
+def test_forbidden_residues_match_rational_inner_products(p):
+    vec = partition_vector(p)
+    oracle = {reduce_mod(-enum_qvec(i).inner(vec), p) for i in range(1, p - 1)}
+    assert _forbidden_residues(p, vec) - {0} == oracle - {0}
+
+
+def test_every_index_below_p_minus_1_is_relevant():
+    for p in primes_up_to(3100):
+        assert build_context(p).relevant == tuple(range(1, p - 1)), p
+
+
+def test_cold_large_context_enumerates_no_rational_vector():
+    misses = enum_qvec.cache_info().misses
+    ctx = build_context.__wrapped__(100003, DEFAULT)  # uncached: the context is large
+    assert ctx.target == 21
+    assert enum_qvec.cache_info().misses == misses
+
+
+def test_context_refuses_primes_past_the_cap(monkeypatch):
+    small = DEFAULT.replace(prime_cap=100)
+    with pytest.raises(CapacityExceededError) as info:
+        build_context(1009, small)
+    assert (info.value.required, info.value.cap) == (1009, 100)
+    assert build_context(101, DEFAULT.replace(prime_cap=101)).p == 101
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the cap check")
+
+    monkeypatch.setattr(construction, "is_prime", refuse)
+    monkeypatch.setattr(construction, "partition_vector", refuse)
+    with pytest.raises(CapacityExceededError):
+        build_context(1000, small)
 
 
 @pytest.mark.parametrize("p", primes_up_to(50))

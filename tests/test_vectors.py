@@ -78,6 +78,15 @@ def test_vector_json_rejects_bad_input():
         FinVec.from_json({"1": "2/4"})
 
 
+@pytest.mark.parametrize("key", ["01", "00", "", "+1", " 1", "1 ", "\u0663", "\uff11", "\u00b2"])
+def test_vector_json_rejects_non_canonical_positions(key):
+    # "01" would otherwise overwrite position 1 silently
+    with pytest.raises(ValueError):
+        FinVec.from_json({key: "1"})
+    with pytest.raises(ValueError):
+        FinVec.from_json({"1": "1/2", key: "1"})
+
+
 def test_vectors_hashable():
     assert len({FinVec({1: 1}), FinVec({1: Fraction(2, 2)}), FinVec({2: 1})}) == 2
 
