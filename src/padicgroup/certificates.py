@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .arith import format_rational, is_prime, parse_rational, prime_factors, primes_up_to, valuation
 from .bookkeeping import FINGERPRINT, enum_qvec, partition_members, partition_vector, qvec_index
-from .config import DEFAULT, Config
+from .config import DEFAULT, Config, check_prime_cap
 from .construction import build_context, condition_block
 from .errors import (
     CapacityExceededError,
@@ -111,8 +111,10 @@ def divisibility_witness(e: GroupElement, p: int, config: Config = DEFAULT) -> D
     Requires p in the partition class of the cleared vector part d*x and
     p coprime to the cleared denominator d.  The witness z satisfies
     p*z - d*e in the axis; the Bezout pair (a, b) with a*d + b*p = 1 then
-    gives eta = a*z + b*e with e - p*eta in the axis.
+    gives eta = a*z + b*e with e - p*eta in the axis.  A prime past
+    config.prime_cap is refused before any work.
     """
+    check_prime_cap(p, config)
     if not is_member(e, config):
         raise NotInGroupError(f"element is not in the group: {e!r}")
     if e.x.is_zero:
@@ -153,7 +155,9 @@ def witness_primes(e: GroupElement, n: int, config: Config = DEFAULT) -> list[in
 
 
 def verify_witness(e: GroupElement, wit: DivisibilityWitness, config: Config = DEFAULT) -> CheckOutcome:
-    """Recheck a divisibility witness from scratch."""
+    """Recheck a divisibility witness, trusting none of its fields.  A prime
+    past config.prime_cap is refused (raised, not reported) before any work."""
+    check_prime_cap(wit.p, config)
     if wit.fingerprint != FINGERPRINT:
         return CheckOutcome(False, f"fingerprint {wit.fingerprint!r} does not match {FINGERPRINT!r}")
     if not is_prime(wit.p):

@@ -32,7 +32,7 @@ from .certificates import (
     witness_primes,
 )
 from .checks import run_check
-from .config import Config, load_config
+from .config import Config, check_prime_cap, load_config
 from .construction import build_context
 from .errors import (
     CapacityExceededError,
@@ -149,8 +149,7 @@ def _enum_value(kind: str, n: int, config: Config):
     if kind == "intvec":
         return intvec_at(n, config.scan_cap).to_json()
     p = nth_prime(n)
-    if p > config.prime_cap:
-        raise CapacityExceededError(f"prime {p} exceeds the prime cap", required=p, cap=config.prime_cap)
+    check_prime_cap(p, config)
     return {"p": p, "vector": partition_vector(p, config.scan_cap).to_json()}
 
 

@@ -12,7 +12,7 @@ import dataclasses
 import json
 
 from .bookkeeping import FINGERPRINT
-from .errors import FingerprintMismatchError
+from .errors import CapacityExceededError, FingerprintMismatchError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,6 +53,13 @@ class Config:
 
 
 DEFAULT = Config()
+
+
+def check_prime_cap(p: int, config: Config) -> None:
+    """Refuse a prime past config.prime_cap, before any work is spent on it."""
+    if p > config.prime_cap:
+        raise CapacityExceededError(
+            f"prime {p} exceeds the prime cap", required=p, cap=config.prime_cap)
 
 
 def load_config(path: str | None, **overrides) -> Config:

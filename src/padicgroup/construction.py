@@ -35,9 +35,12 @@ from math import isqrt
 
 from .arith import is_prime, reduce_mod
 from .bookkeeping import FINGERPRINT, enum_rat0, partition_vector, unpair0
-from .config import DEFAULT, Config
+from .config import DEFAULT, Config, check_prime_cap
 from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
 from .vectors import FinVec
+
+# entries kept by each of the context and block caches
+CACHE_SIZE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -45,17 +48,15 @@ class PrimeContext:
     """Frozen construction data of one prime."""
 
     p: int
-    vec: FinVec                # partition vector assigned to p
-    width: int                 # vectors of the family live in (Z/p)^width
-    vec_mod: tuple[int, ...]   # vec reduced mod p on coordinates 1..width
-    target: int                # required inner-product residue in 0..p-1
-    relevant: tuple[int, ...]  # enumeration indices the target must dodge
-    pivot: int | None          # largest i with vec_mod[i-1] != 0; None when vec_mod vanishes
+    vec: FinVec         # partition vector assigned to p: integral, support below width
+    width: int          # vectors of the family live in (Z/p)^width
+    target: int         # required inner-product residue in 0..p-1
+    pivot: int | None   # largest i with vec[i] % p != 0; None when vec vanishes mod p
 
-    def __hash__(self) -> int:
-        # condition_block's cache hashes its context on every call; the
-        # generated hash would walk vec_mod and relevant, about 2p integers
-        return hash((self.p, self.width, self.target))
+    @property
+    def relevant(self) -> range:
+        """Indices the target must dodge: all of 1..p-2 (see build_context)."""
+        return range(1, self.p - 1)
 
     def to_json(self) -> dict:
         return {
@@ -88,9 +89,9 @@ def _forbidden_residues(p: int, vec: FinVec) -> set[int]:
     return forbidden
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
-    """Deterministic context of a prime: window width, target, relevance.
+    """Deterministic context of a prime: window width, target and pivot.
 
     The width exceeds both p and the support of the partition vector.
     An enumeration index i is relevant when i < p-1 and p divides no
@@ -117,22 +118,18 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
       isqrt(2p), so all of them lie in the residue table of
       _forbidden_residues.
     """
-    if p > config.prime_cap:
-        raise CapacityExceededError(
-            f"prime {p} exceeds the prime cap", required=p, cap=config.prime_cap)
+    check_prime_cap(p, config)
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     vec = partition_vector(p, scan_cap=config.scan_cap)
     width = 1 + max(p, vec.max_support)
-    vec_mod = tuple(int(vec[i]) % p for i in range(1, width + 1))
-    relevant = tuple(range(1, p - 1))
-    pivot = max((i for i, v in enumerate(vec_mod, start=1) if v), default=None)
+    pivot = max((i for i, v in vec.items() if v % p), default=None)
     if pivot is None:
         target = 0
     else:
         forbidden = _forbidden_residues(p, vec)
         target = next(t for t in range(1, p) if t not in forbidden)
-    return PrimeContext(p, vec, width, vec_mod, target, relevant, pivot)
+    return PrimeContext(p, vec, width, target, pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def level_contains(ctx: PrimeContext, v: FinVec) -> bool:
             raise ValueError(f"support reaches {i}, window is 1..{ctx.width}")
         if not isinstance(value, int) or not 0 < value < ctx.p:
             raise ValueError("level vectors carry residues in 0..p-1")
-    total = sum(value * ctx.vec_mod[i - 1] for i, value in v.items())
+    total = sum(value * ctx.vec[i] for i, value in v.items())
     return total % ctx.p == ctx.target
 
 
@@ -177,11 +174,11 @@ def _hyperplane_points(ctx: PrimeContext, w: int, indices):
     p = ctx.p
     pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
     free = [c for c in range(1, w + 1) if c != pivot]
-    inv = pow(ctx.vec_mod[pivot - 1], -1, p) if pivot is not None else 0
+    inv = pow(ctx.vec[pivot], -1, p) if pivot is not None else 0
     for idx in indices:
         entries = _digit_entries(idx, p, free)
         if pivot is not None:
-            partial = sum(v * ctx.vec_mod[c - 1] for c, v in entries.items())
+            partial = sum(v * ctx.vec[c] for c, v in entries.items())
             solved = (ctx.target - partial) * inv % p
             if solved:
                 entries[pivot] = solved
@@ -216,7 +213,7 @@ def perturbation_exponent(p: int, k: int) -> int:
     return s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def condition_block(ctx: PrimeContext, k: int) -> ConditionBlock:
     """Block k of the family: stream items (k-1)(k+2)/2+1 .. k(k+3)/2.
 
@@ -310,7 +307,7 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
     def in_hyperplane_layer(entries: dict) -> bool:
         if any(i > w2 or value >= p for i, value in entries.items()):
             return False
-        return not affine or sum(v * ctx.vec_mod[i - 1] for i, v in entries.items()) % p == ctx.target
+        return not affine or sum(v * ctx.vec[i] for i, v in entries.items()) % p == ctx.target
 
     modulus = p ** m
     seen_blocks = set()  # at most kmax(kmax+3)/2 entries

@@ -91,7 +91,7 @@ def brute_member(e: GroupElement) -> bool:
         m = max(1, -min(0, min_valuation(e.x, p)))
         ctx = build_context(p)
         w = e.x.max_support
-        count = ctx.p ** (ctx.width - 1) if any(ctx.vec_mod) else ctx.p ** ctx.width
+        count = ctx.p ** (ctx.width - 1) if any(v % p for _, v in ctx.vec.items()) else ctx.p ** ctx.width
         k = visible_block_limit(p, m)
         consumed = 0
         while consumed < count:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicgroup import certificates
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.certificates import (
     BadPrimeRecord,
@@ -14,7 +15,9 @@ from padicgroup.certificates import (
     verify_certificate,
     verify_witness,
 )
+from padicgroup.config import DEFAULT
 from padicgroup.errors import (
+    CapacityExceededError,
     NoQuotientContentError,
     NotInGroupError,
     SpanMeetsAxisError,
@@ -111,6 +114,24 @@ def test_witness_error_gates():
     with pytest.raises(WrongPrimeError):
         # 5 sits in the class of -e1-e2, not -e1
         divisibility_witness(element(-1, {1: -1}), 5)
+
+
+def test_witness_primes_past_the_cap_are_refused_before_any_work(monkeypatch):
+    e = element(-1, {1: -1})
+    small = DEFAULT.replace(prime_cap=100)
+    wit = divisibility_witness(e, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the cap check")
+
+    for name in ("is_member", "is_prime", "partition_vector", "build_context"):
+        monkeypatch.setattr(certificates, name, refuse)
+    with pytest.raises(CapacityExceededError) as info:
+        divisibility_witness(e, 10000019, small)
+    assert (info.value.required, info.value.cap) == (10000019, 100)
+    with pytest.raises(CapacityExceededError) as info:
+        verify_witness(e, dataclasses.replace(wit, p=2 ** 61 - 1))
+    assert (info.value.required, info.value.cap) == (2 ** 61 - 1, DEFAULT.prime_cap)
 
 
 def test_certificate_frozen_single_vector():

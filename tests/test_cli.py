@@ -17,6 +17,11 @@ CERT_BAD_GOOD_PARAMS = json.dumps({
     **certify_free([element(1, {1: 2})]).to_json(),
     "good_params": {"k": 99, "index": -5, "denominator_primes": "junk"},
 })
+# a witness at the prime 2^61 - 1, far past the default prime cap
+WIT_PAST_CAP = json.dumps({
+    "p": 2 ** 61 - 1, "a_int": 1, "d": 1, "z": {"x0": "0", "x": {}},
+    "bezout": [1, 0], "fingerprint": FINGERPRINT,
+})
 
 
 def run(*argv):
@@ -59,6 +64,8 @@ EXIT_CASES = [
     (("--residue-cap", "1", "member", '{"x0": "-1/4", "x": {"1": "-1/4"}}'), 3),
     (("--prime-cap", "100", "ctx", "1009"), 3),
     (("--prime-cap", "100", "member", '{"x0": "1/100003", "x": {}}'), 1),
+    (("--prime-cap", "100", "witness", '{"x0":"1","x":{"1":"2"}}', "--prime", "10000019"), 3),
+    (("verify-witness", '{"x0":"1","x":{"1":"2"}}', WIT_PAST_CAP), 3),
     (("member", '{"x0": "0", "x": {"1": "1/2", "01": "1"}}'), 2),
     (("member", '{"x0": "0", "x": {"\u0663": "1"}}'), 2),
     (("--version",), 0),

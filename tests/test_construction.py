@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,24 +35,32 @@ from padicgroup.vectors import FinVec
 
 def test_context_frozen_small_primes():
     c = build_context(2)
-    assert (c.p, c.width, c.target) == (2, 3, 1)
+    assert (c.p, c.width, c.target, c.pivot) == (2, 3, 1, 1)
     assert c.vec == FinVec({1: -1})
-    assert c.vec_mod == (1, 0, 0)
-    assert c.relevant == ()
+    assert c.to_json()["relevant"] == []
 
     c = build_context(3)
-    assert (c.width, c.target, c.relevant) == (4, 1, (1,))
-    assert c.vec_mod == (2, 0, 0, 0)
+    assert (c.width, c.target, c.pivot) == (4, 1, 1)
+    assert c.vec == FinVec({1: -1})
+    assert c.to_json()["relevant"] == [1]
 
     c = build_context(5)
     assert c.vec == FinVec({1: -1, 2: -1})
-    assert (c.width, c.target) == (6, 1)
-    assert c.vec_mod == (4, 4, 0, 0, 0, 0)
-    assert c.relevant == (1, 2, 3)
+    assert (c.width, c.target, c.pivot) == (6, 1, 2)
+    assert c.to_json()["relevant"] == [1, 2, 3]
 
     c = build_context(7)
-    assert (c.width, c.target) == (8, 1)
-    assert c.relevant == (1, 2, 3, 4, 5)
+    assert (c.width, c.target, c.pivot) == (8, 1, 1)
+    assert c.to_json()["relevant"] == [1, 2, 3, 4, 5]
+
+
+def test_context_keeps_only_underived_fields():
+    ctx = build_context(5)
+    fields = tuple(f.name for f in dataclasses.fields(PrimeContext))
+    assert fields == ("p", "vec", "width", "target", "pivot")
+    # the generated hash and equality, over those five fields
+    assert hash(ctx) == hash((5, ctx.vec, 6, 1, 2))
+    assert ctx == PrimeContext(5, FinVec({1: -1, 2: -1}), 6, 1, 2)
 
 
 def test_context_targets_dodge_relevant_functionals():
@@ -99,8 +108,12 @@ def test_forbidden_residues_match_rational_inner_products(p):
 
 
 def test_every_index_below_p_minus_1_is_relevant():
+    # the definition: i < p-1 and p divides no denominator of enum_qvec(i)
+    dens = [None] + [enum_qvec(i).denominator_lcm() for i in range(1, 3099)]
     for p in primes_up_to(3100):
-        assert build_context(p).relevant == tuple(range(1, p - 1)), p
+        relevant = build_context(p).relevant
+        assert list(relevant) == list(range(1, p - 1)), p
+        assert all(dens[i] % p for i in relevant), p
 
 
 def test_cold_large_context_enumerates_no_rational_vector():
@@ -108,6 +121,19 @@ def test_cold_large_context_enumerates_no_rational_vector():
     ctx = build_context.__wrapped__(100003, DEFAULT)  # uncached: the context is large
     assert ctx.target == 21
     assert enum_qvec.cache_info().misses == misses
+
+
+def test_cold_large_context_retains_under_a_megabyte():
+    # the context keeps the partition vector, no tuple of about p entries
+    build_context.cache_clear()
+    tracemalloc.start()
+    try:
+        ctx = build_context(100003)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.target == 21
+    assert retained < 1_000_000
 
 
 def test_context_refuses_primes_past_the_cap(monkeypatch):
@@ -129,7 +155,7 @@ def test_context_refuses_primes_past_the_cap(monkeypatch):
 @pytest.mark.parametrize("p", primes_up_to(50))
 def test_context_pivot_is_last_nonzero_reduced_coordinate(p):
     ctx = build_context(p)
-    last = next((i for i in range(ctx.width, 0, -1) if ctx.vec_mod[i - 1] != 0), None)
+    last = next((i for i in range(ctx.width, 0, -1) if ctx.vec[i] % p != 0), None)
     assert ctx.pivot == last
     assert level_count(ctx) == p ** (ctx.width - (last is not None))
 
@@ -156,7 +182,7 @@ def test_level_set_matches_exhaustive_filter(p):
     c = build_context(p)
     cube = []
     for combo in itertools.product(range(p), repeat=c.width):
-        total = sum(v * w for v, w in zip(combo, c.vec_mod))
+        total = sum(v * (c.vec[i] % p) for i, v in enumerate(combo, start=1))
         if total % p == c.target:
             cube.append(FinVec({i + 1: v for i, v in enumerate(combo) if v}))
     enumerated = [level_at(c, n) for n in range(1, level_count(c) + 1)]
@@ -281,7 +307,7 @@ def set_based_residues(p: int, w: int, m: int) -> list:
     """
     c = build_context(p)
     w2 = min(w, c.width)
-    pivot = max((i for i in range(1, c.width + 1) if c.vec_mod[i - 1]), default=None)
+    pivot = max((i for i in range(1, c.width + 1) if c.vec[i] % p), default=None)
     hyper_count = p ** (w2 - 1) if pivot is not None and pivot <= w2 else p ** w2
     stream = [level_at(c, n).truncate(w2) for n in range(1, hyper_count + 1)]
     modulus = p ** m
@@ -344,11 +370,16 @@ def test_layer_spanning_points_are_the_frozen_points_at_digit_powers(p):
         assert layer_spanning_points(ctx, w) == [scan[0]] + [scan[p ** j] for j in range(free)]
 
 
-def test_context_hash_skips_the_long_tuples():
-    # condition_block's cache hashes its context on every call
-    ctx = build_context(3037)
-    assert hash(dataclasses.replace(ctx, vec_mod=(), relevant=())) == hash(ctx)
-    assert condition_block(ctx, 2) is condition_block(ctx, 2)
+def test_caches_are_bounded():
+    assert build_context.cache_info().maxsize == 1 << 12
+    assert condition_block.cache_info().maxsize == 1 << 12
+
+
+def test_rebuilt_context_hits_the_block_cache():
+    # a context rebuilt after eviction equals the old one, so its blocks stay cached
+    block = condition_block(build_context(3037), 2)
+    build_context.cache_clear()
+    assert condition_block(build_context(3037), 2) is block
 
 
 def test_contexts_are_cached():
