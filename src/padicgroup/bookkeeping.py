@@ -229,14 +229,16 @@ DEFAULT_SCAN_CAP = 1_000_000
 
 def _iv_extend(*, count: int | None = None, code: int | None = None, cap: int = DEFAULT_SCAN_CAP) -> None:
     global _iv_scanned
+    # the i-th vector has a code >= i, so a lookup past the cap fails before decoding
+    past_cap = max(count or 0, code or 0) > cap
     with _iv_lock:
         while (count is not None and len(_iv_vecs) < count) or (
             code is not None and _iv_scanned < code
         ):
-            if _iv_scanned >= cap:
+            if past_cap or _iv_scanned >= cap:
                 raise CapacityExceededError(
                     f"integer-vector scan passed the cap of {cap} codes",
-                    required=_iv_scanned + 1,
+                    required=max(_iv_scanned, cap) + 1,
                     cap=cap,
                 )
             _iv_scanned += 1

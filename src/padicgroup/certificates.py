@@ -149,8 +149,6 @@ def witness_primes(e: GroupElement, n: int, config: Config = DEFAULT) -> list[in
         fetch += n
         candidates = partition_members(cleared_x, fetch, config.prime_cap, config.scan_cap)
         primes = [p for p in candidates if d % p != 0][:n]
-        if len(candidates) < fetch:  # pragma: no cover - partition classes are infinite
-            break
     return primes
 
 

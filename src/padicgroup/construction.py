@@ -226,7 +226,7 @@ def condition_block(ctx: PrimeContext, k: int) -> ConditionBlock:
     s = perturbation_exponent(ctx.p, k)
     count = level_count(ctx)
     start = (k - 1) * (k + 2) // 2
-    lifts = [level_at(ctx, 1 + (start + j) % count) for j in range(k + 1)]
+    lifts = list(_hyperplane_points(ctx, ctx.width, [(start + j) % count for j in range(k + 1)]))
     step = ctx.p ** (s + 1)
     vectors = [lifts[0]]
     vectors += [lifts[j] + FinVec.single(j, step) for j in range(1, k + 1)]
@@ -289,7 +289,12 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
       affine solution set of the inner-product constraint.
     * visible blocks: perturbations p^(s+1) with s+1 < m survive; the
       exponent is nondecreasing in k, so visible blocks form a finite
-      initial range enumerated explicitly.
+      initial range enumerated explicitly.  Of block k only the vectors
+      j = 1..min(k, w) are read, truncated to the window: vector 0 is a
+      lift and a vector j > w loses its perturbation to truncation, so
+      both are layer points already yielded.  Vector j carries
+      lift_j[j] + p^(s+1) >= p, so it is never a layer point, and every
+      entry is at most p - 1 + p^(m-1) < p^m, so none needs reducing.
     """
     if m < 1:
         raise EnumerationRangeError("modulus exponent must be >= 1")
@@ -298,33 +303,16 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
     if w == 0:
         yield FinVec.zero()
         return
-    p = ctx.p
     w2, free, kmax = _layer_shape(ctx, w, m, config)
-    affine = free < w2
     # digit decoding is injective, so the hyperplane layer needs no dedup
-    yield from _hyperplane_points(ctx, w2, range(p ** free))
-
-    def in_hyperplane_layer(entries: dict) -> bool:
-        if any(i > w2 or value >= p for i, value in entries.items()):
-            return False
-        return not affine or sum(v * ctx.vec[i] for i, v in entries.items()) % p == ctx.target
-
-    modulus = p ** m
-    seen_blocks = set()  # at most kmax(kmax+3)/2 entries
+    yield from _hyperplane_points(ctx, w2, range(ctx.p ** free))
+    seen = set()  # at most kmax(kmax+3)/2 entries
     for k in range(1, kmax + 1):
-        block = condition_block(ctx, k)
-        for v in block.vectors:
-            entries = {}
-            for i, value in v.items():
-                if i <= w:
-                    res = value % modulus
-                    if res:
-                        entries[i] = res
-            if in_hyperplane_layer(entries):
-                continue
-            vec = FinVec(entries)
-            if vec not in seen_blocks:
-                seen_blocks.add(vec)
+        vectors = condition_block(ctx, k).vectors
+        for j in range(1, min(k, w) + 1):
+            vec = vectors[j].truncate(w)
+            if vec not in seen:
+                seen.add(vec)
                 yield vec
 
 

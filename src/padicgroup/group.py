@@ -205,7 +205,7 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
     k = max(g.x.max_support for g in nonzero)
     ncols = k + 1
     gen_rows = [element_row(g, k) for g in nonzero]
-    int_rows = [[Fraction(v) for v in row] for row in linalg.integer_span_points(gen_rows, ncols)]
+    int_rows = linalg.integer_span_points(gen_rows, ncols)
     if k == 0:
         # span lies on the axis; its members are exactly the integer points
         basis = tuple(row_element(row) for row in int_rows)

@@ -11,7 +11,7 @@ the one Hermite reduction over Z.  Nothing here knows about the group.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Row = list
 
@@ -202,7 +202,7 @@ def hnf(rows: list[Row]) -> list[Row]:
                 if q:
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
             r += 1
-    return [row for row in mat[:r] if any(row)]
+    return mat[:r]
 
 
 def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
@@ -241,23 +241,10 @@ class RatLattice:
 
     @classmethod
     def from_rows(cls, rational_rows: list[Row], ncols: int) -> "RatLattice":
-        den = 1
-        for row in rational_rows:
-            for v in row:
-                den = lcm(den, Fraction(v).denominator)
+        # den is minimal: the rows lie in the lattice, so any d clearing it clears them
+        den = lcm(1, *(Fraction(v).denominator for row in rational_rows for v in row))
         scaled = [[int(Fraction(v) * den) for v in row] for row in rational_rows]
-        return cls(den, hnf(scaled), ncols)._normalized()
-
-    def _normalized(self) -> "RatLattice":
-        g = self.den
-        for row in self.rows:
-            for v in row:
-                g = gcd(g, v)
-                if g == 1:
-                    return self
-        if g > 1:
-            return RatLattice(self.den // g, [[v // g for v in row] for row in self.rows], self.ncols)
-        return self
+        return cls(den, hnf(scaled), ncols)
 
     @property
     def dim(self) -> int:
@@ -282,10 +269,4 @@ class RatLattice:
         return not any(target)
 
     def add_row(self, vec: Row) -> "RatLattice":
-        den = self.den
-        for v in vec:
-            den = lcm(den, Fraction(v).denominator)
-        scale = den // self.den
-        rows = [[v * scale for v in row] for row in self.rows]
-        rows.append([int(Fraction(v) * den) for v in vec])
-        return RatLattice(den, hnf(rows), self.ncols)._normalized()
+        return RatLattice.from_rows(self.rational_rows() + [vec], self.ncols)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicgroup import bookkeeping
 from padicgroup.bookkeeping import (
     FINGERPRINT,
     decode_seq,
@@ -160,6 +161,20 @@ def test_intvec_first_entries():
 def test_intvec_scan_cap():
     with pytest.raises(CapacityExceededError):
         intvec_index(FinVec({9: 1000}), scan_cap=10_000)
+
+
+def test_intvec_scan_cap_refuses_before_decoding(monkeypatch):
+    def refuse(code):
+        raise AssertionError("decoded a code past the cap")
+
+    monkeypatch.setattr(bookkeeping, "_intvec_decode", refuse)
+    cap = bookkeeping._iv_scanned + 10
+    for lookup in (lambda: intvec_index(FinVec({1: 10 ** 9}), scan_cap=cap),
+                   lambda: intvec_at(cap + 1, scan_cap=cap)):
+        with pytest.raises(CapacityExceededError) as info:
+            lookup()
+        assert (info.value.required, info.value.cap) == (cap + 1, cap)
+        assert str(info.value) == f"integer-vector scan passed the cap of {cap} codes"
 
 
 def test_intvec_index_rejects_nonintegral():

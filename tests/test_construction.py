@@ -266,6 +266,20 @@ def test_visible_block_limit():
             assert perturbation_exponent(p, kmax + 1) + 1 >= m
 
 
+@pytest.mark.parametrize("p", primes_up_to(13))
+def test_visible_block_vectors_are_in_window_perturbations(p):
+    # iter_window_residues reads block vectors unreduced and unfiltered:
+    # each vector j >= 1 of a visible block leaves the layer at j (entry >= p)
+    # and every entry is already a residue mod p^m
+    c = build_context(p)
+    for m in (1, 2, 3):
+        for k in range(1, visible_block_limit(p, m) + 1):
+            vectors = condition_block(c, k).vectors
+            for j in range(1, k + 1):
+                assert vectors[j][j] >= p
+                assert all(0 <= v < p ** m for _, v in vectors[j].items())
+
+
 def brute_residues(p: int, w: int, m: int) -> frozenset:
     """Reduce explicitly generated family vectors until the set stabilizes.
 

@@ -1,8 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicgroup.linalg import (
     EchelonModP,
@@ -231,3 +233,12 @@ def test_rat_lattice_den_and_rows():
     rebuilt = RatLattice.from_rows(rows, 2)
     for vec in ([F(1, 6), F(0)], [F(1, 6), F(1, 4)], [F(1), F(7, 4)]):
         assert rebuilt.contains(vec) == lat.contains(vec)
+
+
+@given(st.lists(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=30),
+                         min_size=3, max_size=3), min_size=1, max_size=4))
+def test_rat_lattice_den_is_minimal(rows):
+    lat = RatLattice.from_rows(rows, 3)
+    assert lat.den == lcm(*(v.denominator for row in rows for v in row))
+    assert gcd(lat.den, *(v for row in lat.rows for v in row)) == 1
+    assert all(any(row) for row in lat.rows)  # the first r hnf rows keep their pivots
