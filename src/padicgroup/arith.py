@@ -14,7 +14,7 @@ import threading
 from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import NotPAdicIntegerError, NotPrimeError
+from .errors import CapacityExceededError, NotPAdicIntegerError, NotPrimeError
 
 Rational = Fraction
 
@@ -149,6 +149,15 @@ def nth_prime(n: int) -> int:
         est = 100 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 10
         _extend_sieve(max(est, 2 * _SIEVE_LIMIT))
     return _PRIMES[n - 1]
+
+
+def check_nth_prime_cap(n: int, cap: int) -> None:
+    """Refuse the n-th prime before sieving: p_n > n ln n for every n >= 1
+    (Rosser), so n ln n >= cap proves p_n > cap."""
+    bound = n * Fraction(math.log(n))  # exact product, so no float overflow at large n
+    if bound >= cap:
+        raise CapacityExceededError(f"the prime of index {n} exceeds the prime cap",
+                                    required=math.floor(bound) + 1, cap=cap)
 
 
 def prime_index(p: int) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import is_prime, nth_prime, prime_index
+from .arith import check_nth_prime_cap, is_prime, nth_prime, prime_index
 from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
 from .vectors import FinVec
 
@@ -109,13 +109,13 @@ _rat_cum: list[int] = [0]  # cumulative counts through block h
 
 
 def _rat_block(h: int) -> list[Fraction]:
-    """All reduced fractions of height h, ordered by (numerator, denominator)."""
-    out = []
-    for num in range(-h, h + 1):
-        for den in range(1, h + 1):
-            if max(abs(num), den) == h and gcd(abs(num), den) == 1:
-                out.append(Fraction(num, den))
-    return out
+    """All reduced fractions of height h, ordered by (numerator, denominator):
+    -h/d, then n/h for |n| < h, then h/d, with d and |n| coprime to h."""
+    if h == 1:
+        return [Fraction(-1), Fraction(0), Fraction(1)]
+    units = [d for d in range(1, h) if gcd(d, h) == 1]  # d = h and n = 0 share the factor h
+    return ([Fraction(-h, d) for d in units] + [Fraction(-n, h) for n in reversed(units)]
+            + [Fraction(n, h) for n in units] + [Fraction(h, d) for d in units])
 
 
 def _grow_rat_blocks(h: int) -> None:
@@ -162,6 +162,7 @@ def int_at0(c: int) -> int:
 
 
 def int_code0(v: int) -> int:
+    v = int(v)
     if -1 <= v <= 1:
         return v + 1
     return 3 + 2 * (abs(v) - 2) + (0 if v < 0 else 1)
@@ -191,50 +192,51 @@ def encode_seq(seq: list[int]) -> int:
 # ---------------------------------------------------------------------------
 # vector enumerations
 
+def _decode_vec(code: int, scalar) -> FinVec:
+    """Vector at 1-based ``code``: components 1..n are ``scalar`` of the
+    decoded sequence; a trailing zero component yields the zero vector."""
+    vals = [scalar(c) for c in decode_seq(code - 1)]
+    if vals and vals[-1] == 0:
+        return FinVec()
+    return FinVec(enumerate(vals, start=1))
+
+
+def _encode_vec(v: FinVec, scalar_code) -> int:
+    """1-based code of v's canonical (trailing-zero-free) component list."""
+    return encode_seq([scalar_code(v[i]) for i in range(1, v.max_support + 1)]) + 1
+
+
 @lru_cache(maxsize=1 << 16)
 def enum_qvec(i: int) -> FinVec:
     """The i-th finitely supported rational vector (1-based, surjective)."""
     if i < 1:
         raise EnumerationRangeError(f"vector index must be >= 1, got {i}")
-    seq = decode_seq(i - 1)
-    vals = [enum_rat0(c) for c in seq]
-    if vals and vals[-1] == 0:
-        return FinVec()
-    return FinVec(enumerate(vals, start=1))
+    return _decode_vec(i, enum_rat0)
 
 
 def qvec_index(v: FinVec) -> int:
     """Smallest index whose decode equals v (encodes the canonical component list)."""
-    if v.is_zero:
-        return 1
-    top = v.max_support
-    return encode_seq([rat_code0(Fraction(v[i])) for i in range(1, top + 1)]) + 1
+    return _encode_vec(v, rat_code0)
 
 
 def _intvec_decode(code: int) -> FinVec:
-    seq = decode_seq(code - 1)
-    vals = [int_at0(c) for c in seq]
-    if vals and vals[-1] == 0:
-        return FinVec()
-    return FinVec(enumerate(vals, start=1))
+    return _decode_vec(code, int_at0)
 
 
 _iv_lock = threading.Lock()
-_iv_vecs: list[FinVec] = []  # i-th nonzero vector at position i-1
-_iv_codes: list[int] = []  # its code
+_iv_codes: list[int] = []  # code of the i-th nonzero vector at position i-1
 _iv_scanned = 0  # codes 1.._iv_scanned processed
 
 DEFAULT_SCAN_CAP = 1_000_000
 
 
-def _iv_extend(*, count: int | None = None, code: int | None = None, cap: int = DEFAULT_SCAN_CAP) -> None:
+def _iv_extend(*, count: int = 0, code: int = 0, cap: int = DEFAULT_SCAN_CAP) -> None:
+    """Scan until ``count`` nonzero vectors are known and ``code`` is scanned."""
     global _iv_scanned
     # the i-th vector has a code >= i, so a lookup past the cap fails before decoding
-    past_cap = max(count or 0, code or 0) > cap
+    past_cap = max(count, code) > cap
     with _iv_lock:
-        while (count is not None and len(_iv_vecs) < count) or (
-            code is not None and _iv_scanned < code
-        ):
+        while len(_iv_codes) < count or _iv_scanned < code:
             if past_cap or _iv_scanned >= cap:
                 raise CapacityExceededError(
                     f"integer-vector scan passed the cap of {cap} codes",
@@ -242,9 +244,7 @@ def _iv_extend(*, count: int | None = None, code: int | None = None, cap: int = 
                     cap=cap,
                 )
             _iv_scanned += 1
-            vec = _intvec_decode(_iv_scanned)
-            if not vec.is_zero:
-                _iv_vecs.append(vec)
+            if not _intvec_decode(_iv_scanned).is_zero:
                 _iv_codes.append(_iv_scanned)
 
 
@@ -253,7 +253,7 @@ def intvec_at(i: int, scan_cap: int = DEFAULT_SCAN_CAP) -> FinVec:
     if i < 1:
         raise EnumerationRangeError(f"vector index must be >= 1, got {i}")
     _iv_extend(count=i, cap=scan_cap)
-    return _iv_vecs[i - 1]
+    return _intvec_decode(_iv_codes[i - 1])
 
 
 def intvec_index(v: FinVec, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
@@ -263,14 +263,10 @@ def intvec_index(v: FinVec, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
     for _, val in v.items():
         if Fraction(val).denominator != 1:
             raise ValueError(f"not an integer vector: {v!r}")
-    top = v.max_support
-    code = encode_seq([int_code0(int(v[i])) for i in range(1, top + 1)])
-    code += 1
+    code = _encode_vec(v, int_code0)
     _iv_extend(code=code, cap=scan_cap)
-    pos = bisect_left(_iv_codes, code)
-    if pos == len(_iv_codes) or _iv_codes[pos] != code:  # cannot happen: canonical codes decode nonzero
-        raise EnumerationRangeError(f"vector {v!r} has no enumeration slot")
-    return pos + 1
+    # a canonical code of a nonzero vector decodes nonzero, so the scan recorded it
+    return bisect_left(_iv_codes, code) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +289,9 @@ def partition_members(
     i = intvec_index(v, scan_cap)
     out = []
     for j in range(1, count + 1):
-        p = nth_prime(pair(i, j))
+        n = pair(i, j)
+        check_nth_prime_cap(n, prime_cap)
+        p = nth_prime(n)
         if p > prime_cap:
             raise CapacityExceededError(
                 f"partition member {p} exceeds the prime cap {prime_cap}",

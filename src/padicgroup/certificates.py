@@ -412,19 +412,19 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
         for idx, row in enumerate(gen_rows):
             if not lattice.contains(row):
                 return CheckOutcome(False, f"generator {idx} is not an integer combination of the basis")
-        if not all(lattice.contains(row) for row in linalg.integer_span_points(gen_rows, k + 1)):
+        points = linalg.integer_span_points(gen_rows, k + 1)
+        if not all(lattice.contains(row) for row in points):
             return CheckOutcome(False, "basis misses an integer point of the generator span")
         # with the integer points inside, denominators dividing D and saturation
         # at every prime of D, the basis spans exactly purify(gens, bound=D)
         for q in prime_factors(cert.D):
             if saturation_kernel(lattice, q, config):
                 return CheckOutcome(False, f"basis is not saturated at prime {q}")
+        # the generators lie in the lattice; their span has dimension len(points)
+        if len(points) != lattice.dim:
+            return CheckOutcome(False, "basis span differs from generator span")
     elif any(not g.is_zero for g in gens):
         return CheckOutcome(False, "empty basis cannot generate nonzero generators")
-    # the generators lie in the basis lattice (or are all zero when the basis
-    # is empty), so equal ranks mean equal spans
-    if linalg.rank(basis_rows, k + 1) != linalg.rank(gen_rows, k + 1):
-        return CheckOutcome(False, "basis span differs from generator span")
     return CheckOutcome(True)
 
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .arith import format_rational, nth_prime
+from .arith import check_nth_prime_cap, format_rational, nth_prime
 from .bookkeeping import (
     FINGERPRINT,
     enum_qvec,
@@ -148,6 +148,7 @@ def _enum_value(kind: str, n: int, config: Config):
         return enum_qvec(n).to_json()
     if kind == "intvec":
         return intvec_at(n, config.scan_cap).to_json()
+    check_nth_prime_cap(n, config.prime_cap)
     p = nth_prime(n)
     check_prime_cap(p, config)
     return {"p": p, "vector": partition_vector(p, config.scan_cap).to_json()}

@@ -1,8 +1,11 @@
+import tracemalloc
 from fractions import Fraction
+from math import gcd, log
 
 import pytest
 
 from padicgroup import bookkeeping
+from padicgroup.arith import primes_up_to
 from padicgroup.bookkeeping import (
     FINGERPRINT,
     decode_seq,
@@ -17,6 +20,7 @@ from padicgroup.bookkeeping import (
     partition_members,
     partition_vector,
     qvec_index,
+    rat_code0,
     unpair,
     unpair0,
 )
@@ -85,9 +89,24 @@ def test_rational_enumeration_prefix():
 
 
 def test_rational_enumeration_matches_bruteforce():
-    # brute list for height <= 12 must be a prefix of the enumeration
-    brute = brute_rationals(12)
+    # brute list for height <= 40 must be a prefix of the enumeration
+    brute = brute_rationals(40)
     assert [enum_rat(n) for n in range(1, len(brute) + 1)] == brute
+    assert all(rat_code0(q) == n - 1 for n, q in enumerate(brute, start=1))
+
+
+def test_rational_block_is_linear_in_height(monkeypatch):
+    calls = 0
+
+    def counting_gcd(a, b):
+        nonlocal calls
+        calls += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(bookkeeping, "gcd", counting_gcd)
+    block = bookkeeping._rat_block(300)
+    assert calls < 300  # one coprimality test per d < h
+    assert len(block) == 4 * 80  # 4 * phi(300)
 
 
 def test_rational_enumeration_rejects_zero():
@@ -177,6 +196,19 @@ def test_intvec_scan_cap_refuses_before_decoding(monkeypatch):
         assert str(info.value) == f"integer-vector scan passed the cap of {cap} codes"
 
 
+def test_intvec_scan_keeps_codes_not_vectors():
+    scanned = bookkeeping._iv_scanned
+    count = len(bookkeeping._iv_codes) + 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        intvec_at(count, scan_cap=scanned + 200_000)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * (bookkeeping._iv_scanned - scanned)
+
+
 def test_intvec_index_rejects_nonintegral():
     with pytest.raises(ValueError):
         intvec_index(FinVec({1: Fraction(1, 2)}))
@@ -216,6 +248,25 @@ def test_partition_members_agree_with_partition_vector():
 def test_partition_members_prime_cap():
     with pytest.raises(CapacityExceededError):
         partition_members(FinVec({1: -1}), 50, prime_cap=1000)
+
+
+@pytest.mark.parametrize("cap", [100, 1000, 10_000])
+def test_partition_members_return_every_class_prime_below_the_cap(cap):
+    by_vec: dict[FinVec, list[int]] = {}
+    for p in primes_up_to(cap):
+        by_vec.setdefault(partition_vector(p), []).append(p)
+    for v, primes in by_vec.items():
+        assert partition_members(v, len(primes), prime_cap=cap) == primes
+        with pytest.raises(CapacityExceededError):
+            partition_members(v, len(primes) + 1, prime_cap=cap)
+
+
+def test_partition_members_refuse_before_sieving():
+    # the first member of the class of 2e1 has prime index 78, and 78 ln 78
+    # passes the cap, so the refusal reports that bound instead of the prime
+    with pytest.raises(CapacityExceededError) as info:
+        partition_members(FinVec({1: 2}), 1, prime_cap=100)
+    assert (info.value.required, info.value.cap) == (int(78 * log(78)) + 1, 100) == (340, 100)
 
 
 def test_partition_classes_are_disjoint_by_construction():

@@ -67,6 +67,8 @@ EXIT_CASES = [
     (("--prime-cap", "100", "witness", '{"x0":"1","x":{"1":"2"}}', "--prime", "10000019"), 3),
     (("verify-witness", '{"x0":"1","x":{"1":"2"}}', WIT_PAST_CAP), 3),
     (("witness", '{"x0": "0", "x": {"1": "1000000"}}'), 3),
+    (("witness", '{"x0": "0", "x": {"1": "170"}}'), 3),
+    (("enum", "partition", "--from", "100000000", "--to", "100000000"), 3),
     (("member", '{"x0": "0", "x": {"1": "1/2", "01": "1"}}'), 2),
     (("member", '{"x0": "0", "x": {"\u0663": "1"}}'), 2),
     (("--version",), 0),
