@@ -80,6 +80,15 @@ def valuation(q: Fraction | int, p: int) -> int | float:
     return v
 
 
+def int_valuation(n: int, p: int) -> int:
+    """Exponent of p in a nonzero integer n (p is not checked for primality)."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def reduce_mod(q: Fraction | int, p: int, m: int = 1) -> int:
     """Representative in [0, p^m) of a p-integral rational mod p^m, via a
     modular inverse of the denominator."""

@@ -244,7 +244,9 @@ def _iv_extend(*, count: int = 0, code: int = 0, cap: int = DEFAULT_SCAN_CAP) ->
                     cap=cap,
                 )
             _iv_scanned += 1
-            if not _intvec_decode(_iv_scanned).is_zero:
+            # nonzero exactly when the last component is not int_at0(1) = 0
+            seq = decode_seq(_iv_scanned - 1)
+            if seq and seq[-1] != 1:
                 _iv_codes.append(_iv_scanned)
 
 

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .arith import format_rational, is_prime, parse_rational, prime_factors, primes_up_to, valuation
+from .arith import format_rational, int_valuation, is_prime, parse_rational, prime_factors, primes_up_to
 from .bookkeeping import FINGERPRINT, enum_qvec, partition_members, partition_vector, qvec_index
 from .config import DEFAULT, Config, check_prime_cap
 from .construction import build_context, condition_block
@@ -34,7 +34,7 @@ from .errors import (
     WrongPrimeError,
 )
 from .group import element_row, in_integer_axis, is_member, purify, saturation_kernel
-from .vectors import FinVec, GroupElement, min_valuation
+from .vectors import FinVec, GroupElement
 
 
 @dataclasses.dataclass(frozen=True)
@@ -301,30 +301,54 @@ def _bad_primes(lam: FinVec, index: int, k: int, config: Config) -> list[int]:
     return sorted(set(primes_up_to(cutoff)) | den_primes)
 
 
-def _translate_rows(p: int, k: int, lam: FinVec, config: Config) -> list[list[Fraction]]:
+def _translate_rows(p: int, k: int, lam: FinVec, config: Config) -> tuple[int, list[list[int]]]:
+    """d, the lcm of lambda's first k denominators, and the integer rows
+    d*(phi_j + lambda) of the k+1 translates truncated to 1..k."""
     block = condition_block(build_context(p, config), k)
-    return [[phi[i] + lam[i] for i in range(1, k + 1)] for phi in block.vectors]
+    head = [lam[i] for i in range(1, k + 1)]
+    d = math.lcm(*(v.denominator for v in head))
+    shift = [v.numerator * (d // v.denominator) for v in head]
+    return d, [[d * phi[i] + s for i, s in enumerate(shift, start=1)] for phi in block.vectors]
 
 
-def _select_independent(rows: list[list[Fraction]], k: int) -> list[int]:
+def _select_independent(rows: list[list[int]], k: int) -> tuple[list[int], int]:
     """Indices of the first k rows independent of the rows before them, which
     form a nonsingular matrix (always possible: consecutive differences are
-    strictly diagonally dominant).  They are the pivot columns of the
-    transpose."""
-    _, selected = linalg.rref([list(col) for col in zip(*rows)], len(rows))
+    strictly diagonally dominant), and its determinant.  They are the pivot
+    columns of the transpose."""
+    selected, det = linalg.bareiss(list(zip(*rows)), len(rows))
     if len(selected) < k:
         raise RuntimeError("translate truncations are rank-deficient; construction invariant violated")
-    return selected
+    return selected, det
 
 
-def _record(p: int, lam: FinVec, rows: list[list[Fraction]], selected) -> BadPrimeRecord:
-    """The record of bad prime p for the translate truncations at the selected
-    indices; m is None when they form a singular matrix."""
+def _inverse_exponent(p: int, d: int, square: list[list[int]], det: int) -> int | None:
+    """max(0, -min v_p(Z^-1)) for Z = square/d, given det = det(square);
+    None when Z is singular.
+
+    Z^-1 = d * square^-1, and the least valuation of square^-1 is -e with
+    p^e the largest power of p among square's invariant factors, so the
+    exponent is max(0, e - v_p(d)).  The exponents of the invariant factors
+    sum to v_p(det), so e <= v_p(det) and no elimination is needed when
+    v_p(det) <= v_p(d).
+    """
+    if det == 0:
+        return None
+    v, vd = int_valuation(det, p), int_valuation(d, p)
+    return 0 if v <= vd else max(0, linalg.smith_exponent(square, p, v) - vd)
+
+
+def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected, det: int) -> BadPrimeRecord:
+    """The record of bad prime p for the translate rows d*(phi_j + lambda) at
+    the selected indices, whose matrix has determinant det; m is None when
+    they form a singular matrix.  r = max(0, -min v_p(lambda)) is the exponent
+    of p in lam_den, the lcm of all of lambda's denominators, since each
+    entry is in lowest terms."""
     chosen = [rows[i] for i in selected]
-    inv = linalg.invert(chosen)
-    m = None if inv is None else max(0, -min(valuation(v, p) for row in inv for v in row))
-    r = max(0, -min(0, min_valuation(lam, p)))
-    return BadPrimeRecord(p, tuple(selected), tuple(tuple(row) for row in chosen), m, r)
+    m = _inverse_exponent(p, d, chosen, det)
+    r = int_valuation(lam_den, p)
+    z_rows = tuple(tuple(Fraction(a, d) for a in row) for row in chosen)
+    return BadPrimeRecord(p, tuple(selected), z_rows, m, r)
 
 
 def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
@@ -344,9 +368,11 @@ def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
     lam = _solve_lambda(gens, k)
     index = qvec_index(lam)
     bad = []
+    lam_den = lam.denominator_lcm()
     for p in _bad_primes(lam, index, k, config):
-        rows = _translate_rows(p, k, lam, config)
-        bad.append(_record(p, lam, rows, _select_independent(rows, k)))
+        d, rows = _translate_rows(p, k, lam, config)
+        selected, det = _select_independent(rows, k)
+        bad.append(_record(p, lam_den, d, rows, selected, det))
     D = math.prod(rec.p ** (rec.m + rec.r) for rec in bad)
     basis = purify(gens, bound=D, config=config).basis
     return FreenessCertificate(lam=lam, index=index, k=k, bad=tuple(bad), D=D, basis=basis)
@@ -377,12 +403,15 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
             return CheckOutcome(False, f"generator {idx} violates x0 = <lambda, x>")
     if [rec.p for rec in cert.bad] != expected_bad:
         return CheckOutcome(False, f"bad primes {[rec.p for rec in cert.bad]} differ from {expected_bad}")
+    lam_den = cert.lam.denominator_lcm()
     for rec in cert.bad:
         if len(rec.selected) != k or len(set(rec.selected)) != k:
             return CheckOutcome(False, f"record for prime {rec.p} does not select k distinct rows")
         if any(not 0 <= i <= k for i in rec.selected):
             return CheckOutcome(False, f"record for prime {rec.p} selects out-of-range rows")
-        expected = _record(rec.p, cert.lam, _translate_rows(rec.p, k, cert.lam, config), rec.selected)
+        d, rows = _translate_rows(rec.p, k, cert.lam, config)
+        _, det = linalg.bareiss([rows[i] for i in rec.selected], k)
+        expected = _record(rec.p, lam_den, d, rows, rec.selected, det)
         if rec.z_rows != expected.z_rows:
             return CheckOutcome(False, f"stored matrix for prime {rec.p} does not match the translates")
         if expected.m is None:

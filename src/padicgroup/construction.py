@@ -153,10 +153,14 @@ def level_contains(ctx: PrimeContext, v: FinVec) -> bool:
     return total % ctx.p == ctx.target
 
 
-def _digit_entries(idx: int, p: int, coords) -> dict:
-    # base-p digits of idx, smallest coordinate varying fastest
+def _digit_entries(idx: int, p: int, pivot: int | None) -> dict:
+    # base-p digits of idx on the free coordinates, smallest varying fastest:
+    # digit t sits on coordinate t + 1 below the pivot and t + 2 from it on;
+    # the digits past the last nonzero one are zero and add no entry
     entries = {}
-    for c in coords:
+    c = 0
+    while idx:
+        c += 1 if c + 1 != pivot else 2
         idx, digit = divmod(idx, p)
         if digit:
             entries[c] = digit
@@ -167,16 +171,16 @@ def _hyperplane_points(ctx: PrimeContext, w: int, indices):
     """Level-set truncations to the window [1, w] at the given digit indices.
 
     Free coordinates take the base-p digits of the index (the smallest free
-    coordinate varying fastest).  When the pivot lies in the window it is
-    solved from the inner-product constraint; otherwise every coordinate is
-    free.
+    coordinate varying fastest); every index is below p^(number of free
+    coordinates), so its digits stay in the window.  When the pivot lies in
+    the window it is solved from the inner-product constraint; otherwise
+    every coordinate is free.
     """
     p = ctx.p
     pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
-    free = [c for c in range(1, w + 1) if c != pivot]
     inv = pow(ctx.vec[pivot], -1, p) if pivot is not None else 0
     for idx in indices:
-        entries = _digit_entries(idx, p, free)
+        entries = _digit_entries(idx, p, pivot)
         if pivot is not None:
             partial = sum(v * ctx.vec[c] for c, v in entries.items())
             solved = (ctx.target - partial) * inv % p

@@ -1,17 +1,24 @@
-"""Exact linear algebra over Q, F_p and Z.
+"""Exact linear algebra over Q, F_p, Z and Z_p.
 
 One Gauss-Jordan routine, ``_eliminate``, serves ``rref``, ``rank``,
 ``solve_right``, ``invert`` and ``det``: it reduces Fraction rows in place,
 pivoting each column on the first remaining row nonzero there, while extra
-columns (a right-hand side, an identity block) ride along.  ``EchelonModP``
-is the incremental F_p echelon form of the saturation kernel, and ``hnf``
-the one Hermite reduction over Z.  Nothing here knows about the group.
+columns (a right-hand side, an identity block) ride along.  ``bareiss`` is
+its fraction-free counterpart on integer rows, with the same pivot rule and
+so the same pivot columns; it also yields the determinant of the pivot
+block.  ``smith_exponent`` reads the largest power of p among the invariant
+factors of an integer matrix from a Smith elimination mod a power of p.
+``EchelonModP`` is the incremental F_p echelon form of the saturation
+kernel, and ``hnf`` the one Hermite reduction over Z.  Nothing here knows
+about the group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from .arith import int_valuation
 
 Row = list
 
@@ -51,6 +58,66 @@ def _eliminate(mat: list[Row], ncols: int) -> tuple[list[int], Fraction]:
         pivots.append(c)
         r += 1
     return pivots, product
+
+
+def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of integer rows on the first ``ncols`` columns.
+
+    Pivots each column on the first remaining row nonzero there, as
+    ``_eliminate`` does, so the pivot columns are those of ``rref``.  After a
+    pivot step every entry below the pivot rows is the minor on the pivot
+    rows and columns plus its own row and column (Sylvester's identity), so
+    each division by the previous pivot is exact, skipped columns included.
+    Returns the pivot columns and the determinant of the pivot columns on all
+    rows: the signed last pivot when every row has one, else 0.
+    """
+    mat = [list(row) for row in rows]
+    pivots = []
+    sign, prev = 1, 1
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            sign = -sign
+        lead, top = mat[r][c], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            mat[i] = [(lead * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = lead
+        pivots.append(c)
+        r += 1
+    return pivots, sign * prev if r == len(mat) else 0
+
+
+def smith_exponent(square: list[list[int]], p: int, v: int) -> int:
+    """Largest exponent of p among the invariant factors of a nonsingular
+    integer matrix whose determinant has p-adic valuation v.
+
+    Over Z_p the exponents sum to v, so eliminating modulo p^(v+1) loses
+    none of them.  Each step pivots on an entry of least valuation, which
+    divides every remaining entry: its row clears the pivot column, and the
+    pivot row and column drop out.  The pivot exponents are those of the
+    Smith form and never decrease, so the last one is the largest.
+    """
+    q = p ** (v + 1)
+    mat = [[a % q for a in row] for row in square]
+    e = 0
+    while mat:
+        e, r, c = min((int_valuation(a, p), i, j)
+                      for i, row in enumerate(mat) for j, a in enumerate(row) if a)
+        top = mat.pop(r)
+        unit = pow(top[c] // p ** e, -1, q)
+        rest = []
+        for row in mat:
+            f = row[c] // p ** e * unit
+            rest.append([(a - f * b) % q for j, (a, b) in enumerate(zip(row, top)) if j != c])
+        mat = rest
+    return e
 
 
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:

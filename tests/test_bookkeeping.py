@@ -283,3 +283,22 @@ def test_partition_classes_are_disjoint_by_construction():
 
 def test_fingerprint_frozen():
     assert fingerprint() == FINGERPRINT == "v1:353ca906f3bca6fa"
+
+
+def test_intvec_scan_keeps_exactly_the_codes_of_nonzero_vectors():
+    bookkeeping._iv_extend(code=10_000)
+    scanned = [c for c in bookkeeping._iv_codes if c <= 10_000]
+    assert scanned == [c for c in range(1, 10_001) if not bookkeeping._intvec_decode(c).is_zero]
+
+
+def test_intvec_scan_cap_refuses_before_decoding_a_sequence(monkeypatch):
+    def refuse(code):
+        raise AssertionError("decoded a code past the cap")
+
+    monkeypatch.setattr(bookkeeping, "decode_seq", refuse)
+    cap = bookkeeping._iv_scanned + 10
+    for lookup in (lambda: intvec_index(FinVec({1: 10 ** 9}), scan_cap=cap),
+                   lambda: intvec_at(cap + 1, scan_cap=cap)):
+        with pytest.raises(CapacityExceededError) as info:
+            lookup()
+        assert (info.value.required, info.value.cap) == (cap + 1, cap)

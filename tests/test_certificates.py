@@ -1,9 +1,14 @@
 import dataclasses
+import hashlib
+import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padicgroup import certificates
+from padicgroup import certificates, linalg
+from padicgroup.arith import valuation
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.certificates import (
     BadPrimeRecord,
@@ -367,3 +372,94 @@ def test_common_axis_multiple():
         common_axis_multiple(element(0, {}), element(2, {}))
     with pytest.raises(ValueError):
         common_axis_multiple(element(1, {1: 1}), element(2, {}))
+
+
+def _oracle_exponent(z, p):
+    """max(0, -min v_p(Z^-1)) from the Fraction inverse, None when singular."""
+    inv = linalg.invert(z)
+    return None if inv is None else max(0, -min(valuation(v, p) for row in inv for v in row))
+
+
+def _integer_exponent(z, p, extra=1):
+    # M = d*Z with d the lcm of Z's denominators, times an extra factor
+    d = math.lcm(*(v.denominator for row in z for v in row)) * extra
+    square = [[int(v * d) for v in row] for row in z]
+    return certificates._inverse_exponent(p, d, square, linalg.bareiss(square, len(z))[1])
+
+
+@st.composite
+def _rational_square(draw):
+    """k x k rational matrices, k <= 5, whose entries carry a power of p and
+    a denominator mixing a power of p with a part coprime to p; about one in
+    four is singular."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    k = draw(st.integers(1, 5))
+    coprime = st.integers(1, 12).filter(lambda c: c % p)
+    entry = st.builds(lambda n, b, a, c: F(n * p ** b, p ** a * c),
+                      st.integers(-30, 30), st.integers(0, 2), st.integers(0, 3), coprime)
+    z = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    if draw(st.integers(0, 3)) == 0:
+        coeffs = draw(st.lists(st.sampled_from([F(-1), F(0), F(1, p), F(2, 3)]), min_size=k, max_size=k))
+        z[-1] = [sum(c * row[j] for c, row in zip(coeffs, z[:-1])) for j in range(k)]
+    return p, z, draw(st.sampled_from([1, 1, p, p * p]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rational_square())
+def test_inverse_exponent_matches_the_fraction_inverse(case):
+    p, z, extra = case
+    # an extra factor of d raises v_p(d) without changing Z = M/d
+    assert _integer_exponent(z, p, extra) == _oracle_exponent(z, p)
+
+
+@pytest.mark.parametrize("z,p,extra,m", [
+    # e > v_p(d): M = diag(1, 8) at d = 2, so e = 3 and m = 2
+    ([[F(1, 2), F(0)], [F(0), F(4)]], 2, 1, 2),
+    # v_p(d) > e on the Smith path: M = 2*unipotent at d = 4, v = 3 > v_p(d) = 2 > e = 1
+    ([[F(1, 2), F(1, 2), F(0)], [F(0), F(1, 2), F(0)], [F(0), F(0), F(1, 2)]], 2, 2, 0),
+    # v_p(d) > e without elimination: M = [[1, 3], [0, 1]] at d = 9 is unimodular
+    ([[F(1, 9), F(1, 3)], [F(0), F(1, 9)]], 3, 1, 0),
+    ([[F(2, 5), F(4, 5)], [F(1, 5), F(2, 5)]], 5, 1, None),
+])
+def test_inverse_exponent_hand_cases(z, p, extra, m):
+    assert _oracle_exponent(z, p) == m
+    assert _integer_exponent(z, p, extra) == m
+
+
+def test_certificate_records_with_positive_m_round_trip():
+    gens = [element(-1, {1: 2}), element(-1, {2: 1})]
+    cert = certify_free(gens)
+    assert cert.D == 30
+    assert [(rec.p, rec.m, rec.r) for rec in cert.bad] == [
+        (2, 0, 1), (3, 1, 0), (5, 1, 0), (7, 0, 0), (11, 0, 0), (13, 0, 0), (17, 0, 0), (19, 0, 0)]
+    assert verify_certificate(gens, FreenessCertificate.from_json(cert.to_json()))
+    bent = dataclasses.replace(cert.bad[1], m=0)
+    out = verify_certificate(gens, dataclasses.replace(cert, bad=(cert.bad[0], bent) + cert.bad[2:]))
+    assert out.reason == "record for prime 3 claims m = 0, recomputed 1"
+
+
+# (index, lambda) of the certify functionals of bench/inputs.py: 26 of support 1, 14 of support 2
+GOLDEN_FUNCTIONALS = [
+    (2, ("-1",)), (7, ("1",)), (11, ("-2",)), (16, ("-1/2",)), (22, ("1/2",)), (29, ("2",)),
+    (37, ("-3",)), (46, ("-3/2",)), (56, ("-2/3",)), (67, ("-1/3",)), (79, ("1/3",)),
+    (92, ("2/3",)), (106, ("3",)), (121, ("3/2",)), (137, ("-4",)), (154, ("-4/3",)),
+    (172, ("-3/4",)), (191, ("-1/4",)), (211, ("1/4",)), (232, ("3/4",)), (254, ("4",)),
+    (277, ("4/3",)), (301, ("-5",)), (326, ("-5/2",)), (352, ("-5/3",)), (379, ("-5/4",)),
+    (3, ("-1", "-1")), (6, ("0", "-1")), (10, ("1", "-1")), (15, ("-2", "-1")),
+    (21, ("-1/2", "-1")), (23, ("-1", "1")), (28, ("1/2", "-1")), (31, ("0", "1")),
+    (36, ("2", "-1")), (40, ("1", "1")), (45, ("-3", "-1")), (50, ("-2", "1")),
+    (55, ("-3/2", "-1")), (57, ("-1", "-2")),
+]
+
+
+def test_certificates_of_enumerated_functionals_are_frozen():
+    # generators d*e_i with x0 = lambda_i*d, d the lcm of lambda's denominators
+    certs = []
+    for index, lam in GOLDEN_FUNCTIONALS:
+        lam = [F(v) for v in lam]
+        d = math.lcm(*(v.denominator for v in lam))
+        cert = certify_free([element(v * d, {i: d}) for i, v in enumerate(lam, start=1)])
+        assert cert.index == index
+        certs.append(cert.to_json())
+    digest = hashlib.sha256(json.dumps(certs, sort_keys=True).encode()).hexdigest()
+    assert digest == "80dd3ad057f148f6dbc5919a91253c4efea17a798b6bc0180af120a3a20d3cca"

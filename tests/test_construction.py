@@ -399,3 +399,29 @@ def test_rebuilt_context_hits_the_block_cache():
 def test_contexts_are_cached():
     assert build_context(2) is build_context(2)
     assert isinstance(build_context(2), PrimeContext)
+
+
+def test_hyperplane_points_match_the_free_coordinate_digit_expansion():
+    # reference: the digits of the index over the explicit list of free
+    # coordinates, all of them written out, zero digits included
+    def reference(ctx, w, idx):
+        pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
+        entries = {}
+        for c in (c for c in range(1, w + 1) if c != pivot):
+            idx, digit = divmod(idx, ctx.p)
+            if digit:
+                entries[c] = digit
+        if pivot is not None:
+            partial = sum(v * ctx.vec[c] for c, v in entries.items())
+            solved = (ctx.target - partial) * pow(ctx.vec[pivot], -1, ctx.p) % ctx.p
+            if solved:
+                entries[pivot] = solved
+        return FinVec(entries)
+
+    for p in primes_up_to(50):
+        ctx = build_context(p)
+        # every window keeps at least two free coordinates, so each index < p^2 fits
+        windows = {3, ctx.width, max(3, (ctx.pivot or 0) + 1)}
+        for w in sorted(windows):
+            points = list(construction._hyperplane_points(ctx, w, range(p * p)))
+            assert points == [reference(ctx, w, idx) for idx in range(p * p)], (p, w)

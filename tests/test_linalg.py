@@ -4,11 +4,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from padicgroup.arith import valuation
 from padicgroup.linalg import (
     EchelonModP,
     RatLattice,
+    bareiss,
     det,
     hnf,
     integer_span_points,
@@ -16,6 +18,7 @@ from padicgroup.linalg import (
     rank,
     rank_mod,
     rref,
+    smith_exponent,
     solve_right,
 )
 
@@ -242,3 +245,45 @@ def test_rat_lattice_den_is_minimal(rows):
     assert lat.den == lcm(*(v.denominator for row in rows for v in row))
     assert gcd(lat.den, *(v for row in lat.rows for v in row)) == 1
     assert all(any(row) for row in lat.rows)  # the first r hnf rows keep their pivots
+
+
+def _integer_matrices(rows, cols):
+    """Small integer matrices; one in three has its last row a combination
+    of the others, so rank-deficient ones are common."""
+    entries = st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                       min_size=rows, max_size=rows)
+
+    def dependent(mat, coeffs):
+        last = [sum(c * row[j] for c, row in zip(coeffs, mat[:-1])) for j in range(cols)]
+        return mat[:-1] + [last]
+
+    combos = st.tuples(entries, st.lists(st.integers(-2, 2), min_size=rows, max_size=rows))
+    return st.one_of(entries, entries, combos.map(lambda t: dependent(*t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: _integer_matrices(k, k + 1)))
+def test_bareiss_pivots_and_determinant_match_the_fraction_elimination(rows):
+    k = len(rows)
+    pivots, block_det = bareiss(rows, k + 1)
+    assert pivots == rref(rows, k + 1)[1]
+    square = [row[:k] for row in rows]
+    assert bareiss(square, k)[1] == det(square)
+    if len(pivots) == k:
+        assert block_det == det([[row[c] for c in pivots] for row in rows])
+    else:
+        assert block_det == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4).flatmap(lambda k: _integer_matrices(k, k)),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4))
+def test_smith_exponent_is_the_least_valuation_of_the_inverse(p, rows, powers):
+    # scaling columns by powers of p makes large exponents common
+    square = [[v * p ** a for v, a in zip(row, powers)] for row in rows]
+    d = det(square)
+    if d == 0:
+        return
+    inv = invert(square)
+    e = -min(valuation(v, p) for row in inv for v in row)
+    assert smith_exponent(square, p, valuation(d, p)) == e
