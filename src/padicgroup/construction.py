@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import is_prime, reduce_mod
-from .bookkeeping import FINGERPRINT, enum_rat0, partition_vector, unpair0
+from .arith import is_prime
+from .bookkeeping import FINGERPRINT, enum_rat0, partition_vector
 from .config import DEFAULT, Config, check_prime_cap
 from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
 from .vectors import FinVec
@@ -69,23 +69,46 @@ class PrimeContext:
         }
 
 
+def _heads(bound: int) -> int:
+    """Number of heads x of the sequences coded below bound >= 1: those with
+    pair0(x, 0) + 1 < bound, that is x(x+3)/2 <= bound - 2."""
+    return (isqrt(8 * bound - 7) - 3) // 2 + 1
+
+
 def _forbidden_residues(p: int, vec: FinVec) -> set[int]:
-    """-<v_i, vec> mod p for i in 1..p-2, each from the first max_support
-    decoded components of code i-1 (see build_context for why that is exact
-    on nonzero residues)."""
-    coeffs = [vec[j] % p for j in range(1, vec.max_support + 1)]
-    # unpair0(z) returns parts <= t with t(t+1)/2 <= z, so no component of a
-    # code below p passes isqrt(2p)
-    res = [reduce_mod(enum_rat0(c), p) for c in range(isqrt(2 * p) + 2)]
+    """-<v_i, vec> mod p for i in 1..p-2, walked over the sequences of at
+    most max_support entries coded below p-2 (see build_context for why
+    that is exact)."""
+    if p == 2:
+        return set()  # no index in 1..p-2
+    neg = [-vec[j] % p for j in range(1, vec.max_support + 1)]
+    res = []  # residue of every rational a component code can name
+    for c in range(_heads(p - 2)):
+        q = enum_rat0(c)
+        res.append(q.numerator * pow(q.denominator, -1, p) % p)
+    last = [r * neg[-1] % p for r in res]
+    if len(neg) == 1:  # the empty sequence and every one-entry sequence
+        return {0, *last}
     forbidden = set()
-    for code in range(p - 2):
-        total, rest = 0, code
-        for a in coeffs:
-            if not rest:
-                break
-            x, rest = unpair0(rest - 1)
-            total += res[x] * a
-        forbidden.add(-total % p)
+
+    def walk(level: int, total: int, bound: int) -> None:
+        # adds the values of a fixed head of `level` entries worth total,
+        # extended by every tail coded below bound of at most len(neg) - level
+        # entries
+        forbidden.add(total)
+        a = neg[level]
+        deeper = level + 2 < len(neg)
+        for x in range(_heads(bound)):
+            # tail codes r with pair0(x, r) = (x+r)(x+r+1)/2 + x <= bound - 2
+            tail = (isqrt(8 * (bound - 2 - x) + 1) - 1) // 2 - x + 1
+            t = (total + res[x] * a) % p
+            if deeper:
+                walk(level + 1, t, tail)
+            else:  # the last entry, as one flat loop
+                forbidden.add(t)
+                forbidden.update([(t + v) % p for v in last[:_heads(tail)]])
+
+    walk(0, 0, p - 2)
     return forbidden
 
 
@@ -108,15 +131,25 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
       < z, so each component code of index i is below i - 1.  Each height h
       holds h itself, so a rational of 0-based code c has height at most
       c + 1, and every component denominator is below p.
-    * Only the first s = max_support components meet the partition vector.
-      They give the inner product of the vector coded by that prefix with
-      its trailing zeros dropped.  Dropping a nonempty tail lowers a code
-      (pair0 grows in its second argument and a nonempty tail codes to at
-      least 1), so that vector has a smaller, relevant index, and the value
-      is forbidden anyway.  Non-canonical codes decode to the zero vector
-      and forbid 0, which is never a target.  No component code passes
-      isqrt(2p), so all of them lie in the residue table of
-      _forbidden_residues.
+    * Only the first s = max_support components meet the partition vector,
+      so index i forbids the value of the first s entries of the sequence
+      coded by i - 1.  That prefix t is itself coded below p - 2: dropping
+      a nonempty tail lowers a code, since pair0 grows in its second
+      argument and a nonempty tail codes to at least 1.  Conversely every
+      sequence t of at most s entries coded below p - 2 is such a prefix
+      (of itself).  Its value is the inner product of the vector coded by t
+      with its trailing zeros dropped, whose index is smaller and hence
+      relevant; a non-canonical index decodes to the zero vector and
+      forbids 0, which is never a target.  So the nonzero forbidden
+      residues are exactly the nonzero values of those sequences t.
+    * _forbidden_residues walks exactly those t, front to back: x::rest is
+      coded below a bound b when pair0(x, code(rest)) + 1 < b, that is when
+      x(x+3)/2 <= b - 2 (_heads) and code(rest) is at most the largest r
+      with (x+r)(x+r+1)/2 <= b - 2 - x, an isqrt.  Tail bounds only shrink,
+      so every entry x has x(x+3)/2 <= p - 4: x < sqrt(2p), and its
+      rational has height at most x + 1 < p, so one modular inverse gives
+      its residue.  The walk visits each such t once: about sqrt(2p) of
+      them at s = 1 and at most p - 2 in all.
     """
     check_prime_cap(p, config)
     if not is_prime(p):
@@ -228,9 +261,14 @@ def condition_block(ctx: PrimeContext, k: int) -> ConditionBlock:
     if k < 1:
         raise EnumerationRangeError("block index must be >= 1")
     s = perturbation_exponent(ctx.p, k)
-    count = level_count(ctx)
     start = (k - 1) * (k + 2) // 2
-    lifts = list(_hyperplane_points(ctx, ctx.width, [(start + j) % count for j in range(k + 1)]))
+    indices = range(start, start + k + 1)
+    # level_count >= 2^(width-1), a number of about width bits: the big power
+    # is needed only when the last index may reach it
+    if (start + k).bit_length() >= ctx.width - 1:
+        count = level_count(ctx)
+        indices = [i % count for i in indices]
+    lifts = list(_hyperplane_points(ctx, ctx.width, indices))
     step = ctx.p ** (s + 1)
     vectors = [lifts[0]]
     vectors += [lifts[j] + FinVec.single(j, step) for j in range(1, k + 1)]

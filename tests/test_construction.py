@@ -1,13 +1,17 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicgroup import construction
 from padicgroup.arith import primes_up_to, reduce_mod
-from padicgroup.bookkeeping import FINGERPRINT, enum_qvec, partition_vector
+from padicgroup.bookkeeping import FINGERPRINT, enum_qvec, enum_rat0, partition_vector, unpair0
 from padicgroup.config import DEFAULT
 from padicgroup.construction import (
     ConditionBlock,
@@ -105,6 +109,50 @@ def test_forbidden_residues_match_rational_inner_products(p):
     vec = partition_vector(p)
     oracle = {reduce_mod(-enum_qvec(i).inner(vec), p) for i in range(1, p - 1)}
     assert _forbidden_residues(p, vec) - {0} == oracle - {0}
+
+
+def decode_loop_forbidden(p: int, vec: FinVec) -> set[int]:
+    """Brute-force oracle of the walk: decode every code i-1 < p-2 and sum
+    its first max_support components against vec."""
+    coeffs = [vec[j] % p for j in range(1, vec.max_support + 1)]
+    res = [reduce_mod(enum_rat0(c), p) for c in range(isqrt(2 * p) + 2)]
+    forbidden = set()
+    for code in range(p - 2):
+        total, rest = 0, code
+        for a in coeffs:
+            if not rest:
+                break
+            x, rest = unpair0(rest - 1)
+            total += res[x] * a
+        forbidden.add(-total % p)
+    return forbidden
+
+
+def test_forbidden_walk_matches_the_decode_loop():
+    for p in primes_up_to(3000) + [100003]:
+        vec = partition_vector(p)
+        assert _forbidden_residues(p, vec) == decode_loop_forbidden(p, vec), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(primes_up_to(5000)),
+       st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=5),
+       st.integers(-10**6, 10**6).filter(bool))
+def test_forbidden_walk_matches_the_decode_loop_on_deep_supports(p, head, last):
+    # partition vectors of primes below 10^4 have support at most 4, so only
+    # synthetic vectors reach the walk's deeper levels
+    vec = FinVec(enumerate(head + [last], start=1))
+    assert vec.max_support == len(head) + 1
+    assert _forbidden_residues(p, vec) == decode_loop_forbidden(p, vec)
+
+
+def test_contexts_below_3000_match_their_golden_digest():
+    # one sha256 over the canonical JSON lines of every context, frozen
+    digest = hashlib.sha256()
+    for p in primes_up_to(3000):
+        line = json.dumps(build_context(p).to_json(), sort_keys=True, separators=(",", ":"))
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "63e312654ee2bec54c3ca0ac714dc512c83f0485b4e0b242216fed52c56ffd93"
 
 
 def test_every_index_below_p_minus_1_is_relevant():
@@ -226,6 +274,41 @@ def test_block_stream_indexing():
         for j in range(1, k + 1):
             lift = level_at(c, 1 + (start + j) % count)
             assert block.vectors[j] == lift + FinVec.single(j, step)
+
+
+def expected_block(ctx, k, count):
+    start = (k - 1) * (k + 2) // 2
+    lifts = [level_at(ctx, 1 + (start + j) % count) for j in range(k + 1)]
+    step = ctx.p ** (perturbation_exponent(ctx.p, k) + 1)
+    return (lifts[0],) + tuple(lifts[j] + FinVec.single(j, step) for j in range(1, k + 1))
+
+
+def test_early_blocks_need_no_level_count(monkeypatch):
+    # level_count(9043) has about 36,000 digits; indices below 2^(width-1)
+    # are below it, so the first blocks never compute it
+    ctx = build_context(9043)
+    count = level_count(ctx)
+    expected = {k: expected_block(ctx, k, count) for k in range(1, 11)}
+
+    def refuse(ctx):
+        raise AssertionError("level_count computed")
+
+    monkeypatch.setattr(construction, "level_count", refuse)
+    for k in range(1, 11):
+        assert condition_block.__wrapped__(ctx, k).vectors == expected[k], k
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_stream_wraps_around_the_level_set(p):
+    # p = 2 has width 3 and 4 level elements, p = 3 width 4 and 27
+    ctx = build_context(p)
+    count = level_count(ctx)
+    assert (ctx.width, count) == {2: (3, 4), 3: (4, 27)}[p]
+    wrapped = 0
+    for k in range(1, 13):
+        wrapped += (k - 1) * (k + 2) // 2 + k >= count
+        assert condition_block(ctx, k).vectors == expected_block(ctx, k, count), k
+    assert wrapped >= 5
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
