@@ -17,9 +17,9 @@ from .arith import reduce_mod, valuation
 from .bookkeeping import FINGERPRINT, enum_qvec
 from .config import DEFAULT, Config
 from .construction import (
+    _hyperplane_points,
     build_context,
     condition_block,
-    level_at,
     level_contains,
     level_count,
 )
@@ -51,9 +51,8 @@ def _spanning_scan(ctx, k: int, shift: FinVec | None, cap: int) -> int | None:
     (Z/p)^k, or None if the cap was hit first (which would refute the
     spanning property for all practical purposes)."""
     echelon = linalg.EchelonModP(ctx.p, k)
-    total = level_count(ctx)
-    for n in range(1, min(total, cap) + 1):
-        v = level_at(ctx, n)
+    rows = _hyperplane_points(ctx, ctx.width, range(min(level_count(ctx), cap)))
+    for n, v in enumerate(rows, start=1):  # v is level_at(ctx, n)
         if shift is not None:
             v = v + shift
         echelon.insert([int(v[i] % ctx.p) for i in range(1, k + 1)])

@@ -25,6 +25,8 @@ The family is built in three frozen, deterministic steps:
 
 window_residues computes the exact set of residues of the whole family
 on a finite window mod p^m; that finiteness makes membership decidable.
+layer_conditions decides an affine map on that set from a few of its
+integer affine combinations, without enumerating it.
 """
 
 from __future__ import annotations
@@ -302,17 +304,72 @@ def _layer_shape(ctx: PrimeContext, w: int, m: int, config: Config) -> tuple[int
     return w2, free, kmax
 
 
-def layer_spanning_points(ctx: PrimeContext, w: int, config: Config = DEFAULT) -> list[FinVec]:
-    """Points that affinely span the residues mod p on window [1, w].
+@lru_cache(maxsize=CACHE_SIZE)
+def _pivot_slopes(ctx: PrimeContext) -> tuple[int, dict[int, int], bool]:
+    """(b_0, {j: b_j != 0}, affine) of a context with a pivot.
 
-    Mod p no block is visible, so the residue set is the hyperplane layer
-    alone.  Its points at digit indices 0, 1, p, ..., p^(free-1) differ from
-    the first one by one unit step on each free coordinate (plus a pivot
-    correction), so their affine span is the whole layer.  The cap applies
-    as for the full residue set.
+    A layer point with free digits x has the pivot entry (b_0 + sum b_j x_j)
+    mod p, where b_0 = target / vec[pivot] and b_j = -vec[j] / vec[pivot] mod
+    p.  Only coordinates j below the pivot with vec[j] != 0 mod p have b_j
+    != 0, so every window that holds the pivot has the same slopes.  The
+    entry is Z-affine in the digits on the box {0..p-1} exactly when all
+    b_j = 0, or when one b_j is nonzero and (b_j, b_0) is (1, 0) (the entry
+    is x_j) or (p-1, p-1) (it is p-1-x_j); any other slope wraps past p for
+    some digit, and then a unit step moves the entry by both b_j and b_j - p.
+    The cached dict is shared by every caller, which only reads it.
     """
-    w2, free, _ = _layer_shape(ctx, w, 1, config)
-    return list(_hyperplane_points(ctx, w2, [0] + [ctx.p ** j for j in range(free)]))
+    p = ctx.p
+    inv = pow(ctx.vec[ctx.pivot], -1, p)
+    b0 = ctx.target * inv % p
+    slopes = {j: -v * inv % p for j, v in ctx.vec.items() if j < ctx.pivot and v % p}
+    affine = not slopes or (len(slopes) == 1
+                            and (*slopes.values(), b0) in {(1, 0), (p - 1, p - 1)})
+    return b0, slopes, affine
+
+
+def layer_conditions(ctx: PrimeContext, w: int, m: int) -> list[tuple[int, int, int, int, int]]:
+    """Congruences that decide a Z-affine map on the residues mod p^m on
+    window [1, w], as tuples (c0, j, cj, piv, cp).
+
+    For an integer row [y_0, y_1, ..., y_w] and f(r) = y_0 + <r, y>, the
+    value of a condition is c0 y_0 + cj y_j + cp y_piv (index 0 stands for an
+    absent term).  f vanishes mod any N on every residue iff every value
+    does, since f vanishes on a set iff on its integer affine hull, and the
+    conditions are in order:
+
+    * the layer points q_0, q_1, q_p, ..., q_{p^(free-1)} at those digit
+      indices, with c0 = 1: the value is f(q) and q is {j: cj, piv: cp};
+    * p e_piv when the pivot lies in the window and its entry is not affine
+      in the free digits (see _pivot_slopes), with c0 = 0: together with the
+      points this spans the layer's hull q_0 + {(x, y): y = sum b_j x_j mod
+      p}, while an affine entry has the points' hull already;
+    * p^(s(j)+1) e_j for j <= min(w, kmax), with c0 = 0: vector j of a
+      visible block k is a layer point plus p^(s(k)+1) e_j, and s never
+      decreases in k, so block k = j binds.
+
+    At most w + 2 + min(w, kmax) tuples; no residue is enumerated, so no
+    cap applies.  At m = 1 there is no block, and p y_piv = 0 mod N for
+    every row with m = 1 (see group), so the first failing condition is a
+    point.  It is the first failing residue of the scan: mod N the layer
+    point of digit index n = sum d_t p^t has the value f(q_0) + sum d_t
+    (f(q_{p^t}) - f(q_0)), so no index below p^t fails unless an earlier
+    point does.
+    """
+    p = ctx.p
+    w2 = min(w, ctx.width)
+    piv = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w2 else 0
+    if piv:
+        b0, slopes, affine = _pivot_slopes(ctx)
+        conditions = [(1, 0, 0, piv, b0)]
+        conditions += [(1, j, 1, piv, (b0 + slopes.get(j, 0)) % p)
+                       for j in range(1, w2 + 1) if j != piv]
+        if not affine:
+            conditions.append((0, 0, 0, piv, p))
+    else:
+        conditions = [(1, 0, 0, 0, 0)] + [(1, j, 1, 0, 0) for j in range(1, w2 + 1)]
+    conditions += [(0, j, p ** (perturbation_exponent(p, j) + 1), 0, 0)
+                   for j in range(1, min(w, visible_block_limit(p, m)) + 1)]
+    return conditions
 
 
 def iter_window_residues(ctx: PrimeContext, w: int, m: int,

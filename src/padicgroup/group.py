@@ -6,7 +6,8 @@ x0 + <phi, x> is p-integral for all condition vectors phi attached to p.
 That is an infinite family, but the value only depends on phi through its
 residue r on the support window of x modulo a power of p, so membership
 reduces to the finite residue sets produced by the construction module.
-Membership and saturation share one scan of l_r(y) = y0 + <r, y.x> over them.
+Membership and saturation read l_r(y) = y0 + <r, y.x> through a few integer
+congruences that span its values on them.
 
 Purification computes the pure closure of a finitely generated subgroup:
 all group elements some positive multiple of which falls in the rational
@@ -18,12 +19,15 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from math import gcd
 
 from . import linalg
-from .arith import prime_factors, primes_up_to, valuation
+from .arith import int_valuation, prime_factors, primes_up_to, valuation
 from .bookkeeping import FINGERPRINT
 from .config import DEFAULT, Config
-from .construction import build_context, iter_window_residues, layer_spanning_points
+from .construction import build_context, iter_window_residues, layer_conditions
 from .errors import CapacityExceededError, NotInGroupError
 from .vectors import FinVec, GroupElement
 
@@ -50,48 +54,59 @@ class MembershipVerdict:
         }
 
 
-def _residue_values(rows: list[list[int]], den: int, p: int, w: int, lift: int, config: Config):
-    """Yield (r, [den * l_r(row / den) for row in rows]) over residues r that
-    decide whether each l_r is p-integral and, with lift 1, also l_r mod p.
+def _conditions(rows: list[list[int]], e: int, p: int, w: int, lift: int, config: Config):
+    """(m, layer conditions) that decide whether each l_r(row / den) is
+    p-integral for every residue r and, with lift 1, also l_r mod p, where
+    e = v_p(den).
 
-    They are the residues mod p^m on the window [1, w], where m = max(1,
-    lift + e - lowest), e = v_p(den) and lowest is the least valuation of an
-    x numerator.  At m = 1, f(r) = den * l_r mod p^(e+lift) is affine over
-    F_p in r mod p: the layer point of digit index n = sum d_j p^j takes the
-    value f(q_0) + sum d_j (f(q_{p^j}) - f(q_0)).  So the spanning points
-    q_0, q_1, q_p, ... suffice: a row's first failure in scan order is one
-    of them, and their values span the layer's rows over F_p, so
-    EchelonModP, a reduced echelon form, finds the same kernel.  An empty
-    window has the zero residue only and needs no context.
+    The residues are those mod p^m on the window [1, w], where m = max(1,
+    lift + e - lowest) and lowest is the least valuation of an x numerator,
+    that of their gcd.  Each condition value is an integer combination of
+    values den * l_r(row / den) = f(r) and conversely (see
+    construction.layer_conditions), so both the p-integrality of every
+    f(r) / p^e and the F_p span of those values are read off the conditions.
+    At m = 1 every x numerator has valuation at least e - 1 + lift, so the
+    condition p e_piv holds for every row.  An empty window has the zero
+    residue only, the condition f(0) = y_0, and needs no context.
     """
-    e = valuation(den, p)
-    # lowest valuation of a numerator on the x columns; an all-zero x part gives m = max(1, lift)
-    lowest = min((valuation(v, p) for row in rows for v in row[1:] if v), default=e)
-    m = max(1, lift + e - lowest)
+    g = 0
+    for row in rows:
+        g = reduce(gcd, islice(row, 1, None), g)
+    # an all-zero x part gives m = max(1, lift)
+    m = max(1, lift + e - (int_valuation(g, p) if g else e))
     if w == 0:
-        residues = [FinVec.zero()]
-    elif m == 1:
-        residues = layer_spanning_points(build_context(p, config), w, config)
-    else:
-        residues = iter_window_residues(build_context(p, config), w, m, config)
-    for r in residues:
-        items = r.items()
-        yield r, [row[0] + sum(v * row[i] for i, v in items) for row in rows]
+        return m, [(1, 0, 0, 0, 0)]
+    return m, layer_conditions(build_context(p, config), w, m)
 
 
 def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     """Decide membership, reporting the first violated (prime, residue) pair.
 
     Only primes dividing some component denominator can fail: condition
-    vectors are integral, so they keep p-integral inputs p-integral.
+    vectors are integral, so they keep p-integral inputs p-integral.  A
+    member passes every layer condition, with no residue enumerated.  On a
+    failure the first failing residue in scan order is reported: at m = 1
+    it is the failing condition's layer point; at m >= 2 the residue scan
+    finds it, under the residue cap.
     """
     den = e.denominator_lcm()
     primes = prime_factors(den)
     w = e.x.max_support
-    row = [int(v * den) for v in element_row(e, w)]
+    row = [v.numerator * (den // v.denominator) for v in element_row(e, w)]
     for p in primes:
-        scale = p ** valuation(den, p)
-        for r, (num,) in _residue_values([row], den, p, w, 0, config):
+        e_p = int_valuation(den, p)
+        scale = p ** e_p
+        m, conditions = _conditions([row], e_p, p, w, 0, config)
+        if not any((c0 * row[0] + cj * row[j] + cp * row[piv]) % scale
+                   for c0, j, cj, piv, cp in conditions):
+            continue
+        if m == 1:  # only a layer point can fail, and the first is the scan's first
+            residues = [FinVec({i: v for i, v in ((j, cj), (piv, cp)) if i and v})
+                        for c0, j, cj, piv, cp in conditions if c0]
+        else:
+            residues = iter_window_residues(build_context(p, config), w, m, config)
+        for r in residues:
+            num = row[0] + sum(v * row[i] for i, v in r.items())
             if num % scale:
                 if e.x.is_zero:
                     reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
@@ -162,16 +177,20 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     The rows b_i of ``lat`` must lie in the group.  A combination
     (1/p) sum c_i b_i can then fail membership only at p, and it is a
     member iff sum c_i l_r(b_i) = 0 mod p for every window residue r of
-    the family, where l_r(y) = y0 + <r, y.x> is p-integral.  The residues
-    of _residue_values determine every l_r mod p, so the members form the
-    kernel of one residue-by-row matrix over F_p.  The scan stops as soon
-    as that matrix has full column rank.
+    the family, where l_r(y) = y0 + <r, y.x> is p-integral.  The layer
+    conditions of _conditions span the same values over Z, so the members
+    form the kernel of one condition-by-row matrix over F_p, and
+    EchelonModP, a reduced form, returns the same basis as for the residue
+    matrix.  The loop stops as soon as that matrix has full column rank.
     """
-    scale = p ** valuation(lat.den, p)
+    e = valuation(lat.den, p)
+    scale = p ** e
     echelon = linalg.EchelonModP(p, lat.dim)
-    for _, nums in _residue_values(lat.rows, lat.den, p, lat.ncols - 1, 1, config):
+    _, conditions = _conditions(lat.rows, e, p, lat.ncols - 1, 1, config)
+    for c0, j, cj, piv, cp in conditions:
         values = []
-        for row, num in zip(lat.rows, nums):
+        for row in lat.rows:
+            num = c0 * row[0] + cj * row[j] + cp * row[piv]
             if num % scale:
                 raise NotInGroupError(f"lattice row {row} / {lat.den} is not a group element at {p}")
             values.append(num // scale)

@@ -117,7 +117,7 @@ class FinVec:
         return FinVec(out)
 
     def denominator_lcm(self) -> int:
-        return lcm(1, *(Fraction(v).denominator for v in self._entries.values()))
+        return lcm(1, *(v.denominator for v in self._entries.values()))
 
     def to_json(self) -> dict:
         return {str(i): format_rational(v) for i, v in self.items()}

@@ -1,8 +1,9 @@
 import dataclasses
+import json
 
 import pytest
 
-from padicgroup import checks
+from padicgroup import checks, linalg
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.checks import (
     CHECKS,
@@ -16,7 +17,7 @@ from padicgroup.checks import (
     run_check,
 )
 from padicgroup.config import DEFAULT
-from padicgroup.construction import build_context
+from padicgroup.construction import build_context, level_at, level_count
 from padicgroup.vectors import element
 
 
@@ -33,6 +34,29 @@ def test_level_props_scan_counts():
     # k vectors suffice for a rank-k window, with or without a translate
     assert report.details["scans"] == {"1": 1, "2": 2, "3": 4}
     assert report.details["translate_scans"] == {"1,1": 1, "2,1": 2, "3,1": 4}
+
+
+def per_row_spanning_scan(ctx, k, shift, cap):
+    """The former scan: one level_at call, with its level_count, per row."""
+    echelon = linalg.EchelonModP(ctx.p, k)
+    for n in range(1, min(level_count(ctx), cap) + 1):
+        v = level_at(ctx, n)
+        if shift is not None:
+            v = v + shift
+        echelon.insert([int(v[i] % ctx.p) for i in range(1, k + 1)])
+        if echelon.rank == k:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("p, cap", [(3, DEFAULT.residue_cap), (5, DEFAULT.residue_cap),
+                                    (7, DEFAULT.residue_cap), (7, 10)])
+def test_level_props_report_matches_the_per_row_scan(p, cap, monkeypatch):
+    # same rows in the same order, so the same bytes; cap 10 stops the k = 4 scan
+    config = DEFAULT.replace(residue_cap=cap)
+    report = json.dumps(check_level_props(p, config=config).to_json())
+    monkeypatch.setattr(checks, "_spanning_scan", per_row_spanning_scan)
+    assert json.dumps(check_level_props(p, config=config).to_json()) == report
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

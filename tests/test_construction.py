@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -20,7 +21,7 @@ from padicgroup.construction import (
     build_context,
     condition_block,
     iter_window_residues,
-    layer_spanning_points,
+    layer_conditions,
     level_at,
     level_contains,
     level_count,
@@ -33,7 +34,7 @@ from padicgroup.errors import (
     EnumerationRangeError,
     NotPrimeError,
 )
-from padicgroup.linalg import det
+from padicgroup.linalg import det, hnf
 from padicgroup.vectors import FinVec
 
 
@@ -455,16 +456,94 @@ def test_window_residues_capacity():
     assert info.value.cap == 100
 
 
+def condition_point(j, cj, piv, cp) -> FinVec:
+    """The vector {j: cj, piv: cp} of a layer condition (index 0: no entry)."""
+    return FinVec({i: v for i, v in ((j, cj), (piv, cp)) if i and v})
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
-def test_layer_spanning_points_are_the_frozen_points_at_digit_powers(p):
-    # digit indices 0, 1, p, p^2, ... of the mod-p residue scan: w + 1 points
-    # on a full layer, w on a hyperplane
+def test_layer_conditions_start_with_the_frozen_points_at_digit_powers(p):
+    # the conditions with c0 = 1 are the residues at digit indices 0, 1, p,
+    # p^2, ... of the mod-p scan: w + 1 points on a full layer, w on a hyperplane
     ctx = build_context(p)
     for w in range(0, 4):
         scan = list(iter_window_residues(ctx, w, 1))
         free = w - (ctx.pivot <= w)
         assert len(scan) == p ** free
-        assert layer_spanning_points(ctx, w) == [scan[0]] + [scan[p ** j] for j in range(free)]
+        points = [condition_point(*rest) for c0, *rest in layer_conditions(ctx, w, 1) if c0]
+        assert points == [scan[0]] + [scan[p ** j] for j in range(free)]
+
+
+def lattice_of(vectors, w: int) -> list:
+    """Hermite basis of the integer span of sparse vectors on [1, w],
+    reduced a chunk at a time."""
+    basis = []
+    for start in range(0, len(vectors), 64):
+        chunk = [[v[i] for i in range(1, w + 1)] for v in vectors[start:start + 64]]
+        basis = hnf(basis + chunk)
+    return basis
+
+
+def condition_lattice(ctx, w: int, m: int) -> list:
+    """Hermite basis of the differences the conditions stand for: each point
+    minus the first one, and each vector with c0 = 0."""
+    conditions = layer_conditions(ctx, w, m)
+    q0 = condition_point(*conditions[0][1:])
+    return lattice_of([condition_point(*rest) - q0 if c0 else condition_point(*rest)
+                       for c0, *rest in conditions], w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_layer_conditions_span_the_integer_affine_hull_of_the_residues(p):
+    # f vanishes on a set iff on its integer affine hull, so the conditions
+    # must span exactly the differences of the residues from the first one
+    ctx = build_context(p)
+    for w in range(1, 5 if p < 7 else 4):
+        for m in (1, 2, 3):
+            residues = list(iter_window_residues(ctx, w, m))
+            assert layer_conditions(ctx, w, m)[0][0] == 1
+            hull = lattice_of([r - residues[0] for r in residues], w)
+            assert condition_lattice(ctx, w, m) == hull, (p, w, m)
+
+
+def synthetic_cases():
+    """(p, b_0, slopes) over the pivot's free coordinates: every case with
+    up to two free coordinates at p <= 7 and three at p <= 3, and a seeded
+    sample at p = 11, 13 that includes both affine pairs."""
+    rng = random.Random(13)
+    for p in (2, 3, 5, 7):
+        for free in range(4 if p <= 3 else 3):
+            for b0, *slopes in itertools.product(range(p), repeat=free + 1):
+                yield p, b0, slopes
+    for p in (11, 13):
+        for free in (1, 2, 3):
+            for b0, b in ((0, 1), (p - 1, p - 1)):
+                yield p, b0, [0] * (free - 1) + [b]
+            for _ in range(30):
+                yield p, rng.randrange(p), [rng.randrange(p) for _ in range(free)]
+
+
+def test_affine_pivot_rule_matches_the_hull_of_synthetic_layers():
+    # a context whose pivot sits right after `free` coordinates, with
+    # vec[pivot] = 1, vec[j] = -b_j and target b_0, so its layer is
+    # {(x, (b_0 + sum b_j x_j) mod p)}; its hull is computed from every point
+    seen = set()
+    for p, b0, slopes in synthetic_cases():
+        free = len(slopes)
+        piv = free + 1
+        vec = FinVec({j: -b % p for j, b in enumerate(slopes, start=1)} | {piv: 1})
+        ctx = PrimeContext(p, vec, piv, b0, piv)
+        layer = [FinVec({j: x for j, x in enumerate(xs, start=1)}
+                        | {piv: (b0 + sum(b * x for b, x in zip(slopes, xs))) % p})
+                 for xs in itertools.product(range(p), repeat=free)]
+        hull = lattice_of([q - layer[0] for q in layer], piv)
+        affine = construction._pivot_slopes(ctx)[2]
+        nonzero = [b for b in slopes if b]
+        assert affine == (not nonzero or (len(nonzero) == 1 and (nonzero[0], b0) in {(1, 0), (p - 1, p - 1)}))
+        assert affine == (len(hull) < piv), (p, b0, slopes)
+        assert condition_lattice(ctx, piv, 1) == hull, (p, b0, slopes)
+        seen.add((p, affine, free))
+    assert {(2, True, 3), (13, True, 3), (13, False, 3), (5, True, 2), (7, False, 2)} <= seen
 
 
 def test_caches_are_bounded():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from padicgroup.arith import prime_factors, valuation
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.construction import build_context, iter_window_residues
-from padicgroup import group as group_module
+from padicgroup import construction, group as group_module
 from padicgroup.config import DEFAULT
 from padicgroup.errors import CapacityExceededError, NotInGroupError
 from padicgroup.group import (
@@ -70,20 +71,59 @@ def test_membership_failure_details():
     assert verdict.failing_residue is not None
 
 
+def element_modulus(e: GroupElement, p: int) -> int:
+    """The modulus exponent m = max(1, -min v_p(x)) of a membership check."""
+    return max(1, -min(0, min_valuation(e.x, p)))
+
+
 def reference_membership(e: GroupElement) -> MembershipVerdict:
     """The former membership loop: one Fraction value and one valuation per
-    residue, with m = max(1, -min v_p(x)).  Kept as an oracle for the shared
-    integer scan."""
+    residue, with m = max(1, -min v_p(x)).  Kept as an oracle for the layer
+    conditions."""
     primes = prime_factors(e.denominator_lcm())
     for p in primes:
-        m = max(1, -min(0, min_valuation(e.x, p)))
-        for r in iter_window_residues(build_context(p), e.x.max_support, m):
+        for r in iter_window_residues(build_context(p), e.x.max_support, element_modulus(e, p)):
             value = e.x0 + r.inner(e.x)
             if valuation(value, p) < 0:
                 if e.x.is_zero:
                     reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
                 else:
                     reason = f"x0 + <r, x> = {value} is not {p}-integral"
+                return MembershipVerdict(False, p, r, reason, tuple(primes))
+    return MembershipVerdict(True, checked_primes=tuple(primes))
+
+
+def scan_residues(p: int, w: int, m: int, config=DEFAULT):
+    """The residues the former integer scan read: the spanning points at
+    digit indices 0, 1, p, ..., p^(free-1) at m = 1 (capped like the whole
+    layer), every residue mod p^m otherwise."""
+    if w == 0:
+        return [FinVec.zero()]
+    ctx = build_context(p, config)
+    if m > 1:
+        return iter_window_residues(ctx, w, m, config)
+    w2, free, _ = construction._layer_shape(ctx, w, 1, config)
+    return construction._hyperplane_points(ctx, w2, [0] + [p ** j for j in range(free)])
+
+
+def scan_membership(e: GroupElement, config=DEFAULT) -> MembershipVerdict:
+    """The former membership path: one integer value per scanned residue,
+    with m = max(1, v_p(den) - lowest v_p of an x numerator).  Kept as an
+    oracle for the layer conditions."""
+    den = e.denominator_lcm()
+    primes = prime_factors(den)
+    w = e.x.max_support
+    row = [int(v * den) for v in element_row(e, w)]
+    for p in primes:
+        scale = p ** valuation(den, p)
+        lowest = min((valuation(v, p) for v in row[1:] if v), default=valuation(den, p))
+        for r in scan_residues(p, w, max(1, valuation(den, p) - lowest), config):
+            num = row[0] + sum(v * row[i] for i, v in r.items())
+            if num % scale:
+                if e.x.is_zero:
+                    reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
+                else:
+                    reason = f"x0 + <r, x> = {Fraction(num, den)} is not {p}-integral"
                 return MembershipVerdict(False, p, r, reason, tuple(primes))
     return MembershipVerdict(True, checked_primes=tuple(primes))
 
@@ -178,16 +218,129 @@ def test_membership_at_modulus_one_opens_no_residue_scan(monkeypatch):
     assert expected["member"] and opened == []
 
 
-def test_membership_at_modulus_one_keeps_the_residue_cap():
-    # a member on window 3 at p = 7: its mod-7 layer holds 49 points
+def test_membership_of_a_member_ignores_the_residue_cap():
+    # a member on window 3 at p = 7: its mod-7 layer holds 49 points, more
+    # than the cap, but no residue is enumerated
     small = DEFAULT.replace(residue_cap=48)
     z = element(F(-1, 7), {1: F(-1, 7), 2: 1, 3: 1})
-    assert membership(z).member
-    with pytest.raises(CapacityExceededError) as scan:
+    with pytest.raises(CapacityExceededError):
         list(iter_window_residues(build_context(7, small), 3, 1, small))
+    assert membership(z, small).to_json() == membership(z).to_json()
+    assert membership(z, small).member
+
+
+def test_membership_fallback_scan_keeps_the_residue_cap():
+    # a non-member on window 3 at p = 7 with m = 2 (x_2 = 1/49): its failing
+    # residue comes from the scan, 49 layer points plus 2 block vectors
+    small = DEFAULT.replace(residue_cap=48)
+    z = element(F(-1, 49), {1: F(-1, 7), 2: F(1, 49), 3: 1})
+    assert not membership(z).member
+    assert membership(z).to_json() == reference_membership(z).to_json()
+    with pytest.raises(CapacityExceededError) as scan:
+        list(iter_window_residues(build_context(7, small), 3, 2, small))
     with pytest.raises(CapacityExceededError) as info:
         membership(z, small)
-    assert (str(info.value), info.value.required, info.value.cap) == (str(scan.value), 49, 48)
+    assert (str(info.value), info.value.required, info.value.cap) == (str(scan.value), 51, 48)
+
+
+def test_membership_at_modulus_two_opens_no_residue_scan(monkeypatch):
+    # at p = 29 the pivot is coordinate 2 and its entry is constant on the
+    # layer, so x_2 = 1/29^2 is free up to the constant: a member with m = 2
+    # on window 4, whose scan holds 29^3 layer points and one block vector
+    p = 29
+    ctx = build_context(p)
+    assert ctx.pivot == 2 and construction._pivot_slopes(ctx)[1:] == ({}, True)
+    b0 = construction._pivot_slopes(ctx)[0]
+    z = element(F(-b0, p * p), {2: F(1, p * p), 4: 3})
+    expected = reference_membership(z).to_json()
+    opened = []
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return iter_window_residues(*args, **kwargs)
+
+    monkeypatch.setattr(group_module, "iter_window_residues", counting)
+    assert membership(z).to_json() == expected
+    assert expected["member"] and opened == []
+
+
+def test_membership_needs_the_pivot_step_where_the_pivot_is_not_affine():
+    # at p = 73 the pivot is 3, with the one slope b_2 = p - 1 but b_0 = 71:
+    # not affine, so the layer points alone accept this element and only
+    # the condition p e_piv refuses it (at p <= 13 the blocks imply it)
+    p = 73
+    ctx = build_context(p)
+    assert (ctx.pivot, construction._pivot_slopes(ctx)) == (3, (71, {2: 72}, False))
+    z = element(F(-71, p * p), {2: F(1, p * p), 3: F(1, p * p)})
+    row = [-71, 0, 1, 1]
+    failing = [c0 for c0, j, cj, piv, cp in construction.layer_conditions(ctx, 3, 2)
+               if (c0 * row[0] + cj * row[j] + cp * row[piv]) % (p * p)]
+    assert failing == [0]
+    assert not membership(z).member
+    assert membership(z).to_json() == scan_membership(z).to_json() == reference_membership(z).to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def saturated_basis(p: int, w: int) -> tuple:
+    """Basis of the group's elements with p-power denominators on window
+    [1, w]: Z^(w+1) saturated at p."""
+    units = [element(1, {})] + [element(0, {i: 1}) for i in range(1, w + 1)]
+    return purify(units, bound=p).basis
+
+
+def layer_cases(seed: int, count: int):
+    """Elements on real contexts with p <= 13, w <= 5, v_p(den) <= 3 and
+    modulus exponent m <= 3, with at most 2,401 layer points: integer
+    combinations of the saturated basis (members), half of them moved by
+    a/p^c on one coordinate."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        w = rng.randint(0, 5)
+        if p ** (w - 1) > 2401:
+            continue
+        e = GroupElement.zero()
+        for b in saturated_basis(p, w):
+            e = e + b.scale(rng.randint(-p, p))
+        if rng.random() < 0.5:
+            shift = F(rng.randint(1, p ** 3), p ** rng.randint(1, 3))
+            if w == 0 or rng.random() < 0.2:
+                e = e + element(shift, {})
+            else:
+                e = e + element(0, {rng.randint(1, w): shift})
+        if valuation(e.denominator_lcm(), p) <= 3 and element_modulus(e, p) <= 3:
+            out.append((p, e))
+    return out
+
+
+def test_layer_cases_reach_members_and_non_members_at_every_modulus():
+    kinds = set()
+    for p, e in layer_cases(5, 400):
+        kinds.add((element_modulus(e, p), membership(e).member))
+    assert kinds == {(m, verdict) for m in (1, 2, 3) for verdict in (True, False)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_membership_matches_both_oracles_on_real_contexts(seed):
+    for p, e in layer_cases(seed, 150):
+        expected = membership(e).to_json()
+        assert expected == scan_membership(e).to_json(), e
+        assert expected == reference_membership(e).to_json(), e
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_saturation_kernel_matches_the_scan_on_real_contexts(seed):
+    # lattices of one to three members each, at every modulus exponent
+    rng = random.Random(100 + seed)
+    cases = [(p, e) for p, e in layer_cases(200 + seed, 120) if is_member(e)]
+    for _ in range(40):
+        p, first = rng.choice(cases)
+        group = [e for q, e in cases if q == p]
+        gens = [first] + rng.sample(group, min(len(group), rng.randint(0, 2)))
+        k = max(g.x.max_support for g in gens)
+        lat = RatLattice.from_rows([element_row(g, k) for g in gens], k + 1)
+        assert saturation_kernel(lat, p) == reference_saturation_kernel(lat, p), (lat.rows, p)
 
 
 def test_axis_element_builds_no_context():
