@@ -316,7 +316,7 @@ def _select_independent(rows: list[list[int]], k: int) -> tuple[list[int], int]:
     form a nonsingular matrix (always possible: consecutive differences are
     strictly diagonally dominant), and its determinant.  They are the pivot
     columns of the transpose."""
-    selected, det = linalg.bareiss(list(zip(*rows)), len(rows))
+    _, selected, det = linalg.bareiss(list(zip(*rows)), len(rows))
     if len(selected) < k:
         raise RuntimeError("translate truncations are rank-deficient; construction invariant violated")
     return selected, det
@@ -410,7 +410,7 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
         if any(not 0 <= i <= k for i in rec.selected):
             return CheckOutcome(False, f"record for prime {rec.p} selects out-of-range rows")
         d, rows = _translate_rows(rec.p, k, cert.lam, config)
-        _, det = linalg.bareiss([rows[i] for i in rec.selected], k)
+        *_, det = linalg.bareiss([rows[i] for i in rec.selected], k)
         expected = _record(rec.p, lam_den, d, rows, rec.selected, det)
         if rec.z_rows != expected.z_rows:
             return CheckOutcome(False, f"stored matrix for prime {rec.p} does not match the translates")

@@ -209,16 +209,16 @@ def _hyperplane_points(ctx: PrimeContext, w: int, indices):
     coordinate varying fastest); every index is below p^(number of free
     coordinates), so its digits stay in the window.  When the pivot lies in
     the window it is solved from the inner-product constraint; otherwise
-    every coordinate is free.
+    every coordinate is free.  The pivot entry is b_0 + sum b_j x_j mod p
+    in the free digits x (see _pivot_slopes).
     """
     p = ctx.p
     pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
-    inv = pow(ctx.vec[pivot], -1, p) if pivot is not None else 0
+    b0, slopes, _ = _pivot_slopes(ctx) if pivot is not None else (0, {}, True)
     for idx in indices:
         entries = _digit_entries(idx, p, pivot)
         if pivot is not None:
-            partial = sum(v * ctx.vec[c] for c, v in entries.items())
-            solved = (ctx.target - partial) * inv % p
+            solved = (b0 + sum(v * slopes.get(c, 0) for c, v in entries.items())) % p
             if solved:
                 entries[pivot] = solved
         yield FinVec(entries)

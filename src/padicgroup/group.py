@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from math import gcd
 
 from . import linalg
@@ -54,14 +53,14 @@ class MembershipVerdict:
         }
 
 
-def _conditions(rows: list[list[int]], e: int, p: int, w: int, lift: int, config: Config):
+def _conditions(g: int, e: int, p: int, w: int, lift: int, config: Config):
     """(m, layer conditions) that decide whether each l_r(row / den) is
     p-integral for every residue r and, with lift 1, also l_r mod p, where
-    e = v_p(den).
+    e = v_p(den) and g is the gcd of the x numerators of every row.
 
     The residues are those mod p^m on the window [1, w], where m = max(1,
     lift + e - lowest) and lowest is the least valuation of an x numerator,
-    that of their gcd.  Each condition value is an integer combination of
+    that of g.  Each condition value is an integer combination of
     values den * l_r(row / den) = f(r) and conversely (see
     construction.layer_conditions), so both the p-integrality of every
     f(r) / p^e and the F_p span of those values are read off the conditions.
@@ -69,9 +68,6 @@ def _conditions(rows: list[list[int]], e: int, p: int, w: int, lift: int, config
     condition p e_piv holds for every row.  An empty window has the zero
     residue only, the condition f(0) = y_0, and needs no context.
     """
-    g = 0
-    for row in rows:
-        g = reduce(gcd, islice(row, 1, None), g)
     # an all-zero x part gives m = max(1, lift)
     m = max(1, lift + e - (int_valuation(g, p) if g else e))
     if w == 0:
@@ -87,17 +83,21 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     member passes every layer condition, with no residue enumerated.  On a
     failure the first failing residue in scan order is reported: at m = 1
     it is the failing condition's layer point; at m >= 2 the residue scan
-    finds it, under the residue cap.
+    finds it, under the residue cap.  The cleared x part is kept sparse, so
+    the work follows its support and not its largest index.
     """
     den = e.denominator_lcm()
     primes = prime_factors(den)
     w = e.x.max_support
-    row = [v.numerator * (den // v.denominator) for v in element_row(e, w)]
+    y0 = e.x0.numerator * (den // e.x0.denominator)
+    x = {i: v.numerator * (den // v.denominator) for i, v in e.x.items()}
+    at = x.get  # index 0 stands for an absent term and reads 0
+    g = reduce(gcd, x.values(), 0)
     for p in primes:
         e_p = int_valuation(den, p)
         scale = p ** e_p
-        m, conditions = _conditions([row], e_p, p, w, 0, config)
-        if not any((c0 * row[0] + cj * row[j] + cp * row[piv]) % scale
+        m, conditions = _conditions(g, e_p, p, w, 0, config)
+        if not any((c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % scale
                    for c0, j, cj, piv, cp in conditions):
             continue
         if m == 1:  # only a layer point can fail, and the first is the scan's first
@@ -106,7 +106,7 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
         else:
             residues = iter_window_residues(build_context(p, config), w, m, config)
         for r in residues:
-            num = row[0] + sum(v * row[i] for i, v in r.items())
+            num = y0 + sum(v * at(i, 0) for i, v in r.items())
             if num % scale:
                 if e.x.is_zero:
                     reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
@@ -186,7 +186,8 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     e = valuation(lat.den, p)
     scale = p ** e
     echelon = linalg.EchelonModP(p, lat.dim)
-    _, conditions = _conditions(lat.rows, e, p, lat.ncols - 1, 1, config)
+    g = reduce(gcd, (v for row in lat.rows for v in row[1:]), 0)
+    _, conditions = _conditions(g, e, p, lat.ncols - 1, 1, config)
     for c0, j, cj, piv, cp in conditions:
         values = []
         for row in lat.rows:

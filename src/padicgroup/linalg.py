@@ -1,16 +1,18 @@
 """Exact linear algebra over Q, F_p, Z and Z_p.
 
-One Gauss-Jordan routine, ``_eliminate``, serves ``rref``, ``rank``,
-``solve_right``, ``invert`` and ``det``: it reduces Fraction rows in place,
-pivoting each column on the first remaining row nonzero there, while extra
-columns (a right-hand side, an identity block) ride along.  ``bareiss`` is
-its fraction-free counterpart on integer rows, with the same pivot rule and
-so the same pivot columns; it also yields the determinant of the pivot
-block.  ``smith_exponent`` reads the largest power of p among the invariant
-factors of an integer matrix from a Smith elimination mod a power of p.
-``EchelonModP`` is the incremental F_p echelon form of the saturation
-kernel, and ``hnf`` the one Hermite reduction over Z.  Nothing here knows
-about the group.
+One elimination loop over Q, ``bareiss``, serves everything rational: a
+fraction-free Gauss-Jordan on integer rows, pivoting each column on the
+first remaining row nonzero there, while extra columns (a right-hand side,
+an identity block) ride along.  It ends at d times the reduced echelon
+form, d its last pivot, and yields the determinant of the pivot block.
+``rref``, ``rank``, ``solve_right``, ``invert`` and ``det`` clear rational
+input by one common denominator (``_clear``, which ``RatLattice`` uses too)
+and divide by d only where they return Fractions; ``integer_span_points``
+reads the integer rows directly.  ``smith_exponent`` reads the largest
+power of p among the invariant factors of an integer matrix from a Smith
+elimination mod a power of p.  ``EchelonModP`` is the incremental F_p
+echelon form of the saturation kernel, and ``hnf`` the one Hermite
+reduction over Z.  Nothing here knows about the group.
 """
 
 from __future__ import annotations
@@ -23,53 +25,26 @@ from .arith import int_valuation
 Row = list
 
 
-def _fractions(rows: list[Row]) -> list[Row]:
-    return [[Fraction(v) for v in row] for row in rows]
+def _clear(rows: list[Row]) -> tuple[int, list[list[int]]]:
+    """(L, L * rows) for L the least common denominator of every entry."""
+    den = lcm(1, *(v.denominator for row in rows for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]
 
 
-def _eliminate(mat: list[Row], ncols: int) -> tuple[list[int], Fraction]:
-    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows on
+    the first ``ncols`` columns; later columns ride along.
 
-    Returns the pivot columns (row i of the result has a 1 at pivots[i] and
-    zeros elsewhere in pivot columns) and the signed product of the pivots
-    before scaling, which is the determinant when the block is square and
-    of full rank.
-    """
-    pivots = []
-    product = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            mat[r], mat[pivot] = mat[pivot], mat[r]
-            product = -product
-        lead = mat[r][c]
-        product *= lead
-        inv = 1 / lead
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, product
-
-
-def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination of integer rows on the first ``ncols`` columns.
-
-    Pivots each column on the first remaining row nonzero there, as
-    ``_eliminate`` does, so the pivot columns are those of ``rref``.  After a
-    pivot step every entry below the pivot rows is the minor on the pivot
-    rows and columns plus its own row and column (Sylvester's identity), so
-    each division by the previous pivot is exact, skipped columns included.
-    Returns the pivot columns and the determinant of the pivot columns on all
-    rows: the signed last pivot when every row has one, else 0.
+    Each column pivots on the first remaining row nonzero there; the pivot
+    row then clears the column above and below it, and every update is
+    divided by the previous pivot.  Each entry is a minor of the input
+    (Sylvester's identity below the pivot rows, Cramer's rule above), so
+    every division is exact.  Returns (mat, pivots, det): mat is d times
+    what a rational Gauss-Jordan with the same pivot rule leaves, for d the
+    last pivot (1 when there is none), so its first len(pivots) rows are d
+    times the reduced echelon form; det is the determinant of the pivot
+    columns on all rows, the signed last pivot when every row has one,
+    else 0.
     """
     mat = [list(row) for row in rows]
     pivots = []
@@ -85,13 +60,19 @@ def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
             mat[r], mat[pivot] = mat[pivot], mat[r]
             sign = -sign
         lead, top = mat[r][c], mat[r]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][c]
-            mat[i] = [(lead * a - f * b) // prev for a, b in zip(mat[i], top)]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [(lead * a - f * b) // prev for a, b in zip(mat[i], top)]
         prev = lead
         pivots.append(c)
         r += 1
-    return pivots, sign * prev if r == len(mat) else 0
+    return mat, pivots, sign * prev if r == len(mat) else 0
+
+
+def _last_pivot(mat: list[list[int]], pivots: list[int]) -> int:
+    """The factor d of bareiss's rows: every pivot row holds it at its pivot."""
+    return mat[0][pivots[0]] if pivots else 1
 
 
 def smith_exponent(square: list[list[int]], p: int, v: int) -> int:
@@ -122,13 +103,13 @@ def smith_exponent(square: list[list[int]], p: int, v: int) -> int:
 
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = _fractions(rows)
-    pivots, _ = _eliminate(mat, ncols)
-    return mat[: len(pivots)], pivots
+    mat, pivots, _ = bareiss(_clear(rows)[1], ncols)
+    d = _last_pivot(mat, pivots)
+    return [[Fraction(v, d) for v in row] for row in mat[: len(pivots)]], pivots
 
 
 def rank(rows: list[Row], ncols: int) -> int:
-    return len(_eliminate(_fractions(rows), ncols)[0])
+    return len(bareiss(_clear(rows)[1], ncols)[1])
 
 
 class EchelonModP:
@@ -198,35 +179,38 @@ def solve_right(rows: list[Row], rhs: Row, ncols: int):
 
     Returns (t, None) on success.  On inconsistency returns (None, u) where
     u is a rational combination of the input rows witnessing it:
-    sum u_i rows[i] = 0 while sum u_i rhs[i] != 0.
+    sum u_i rows[i] = 0 while sum u_i rhs[i] != 0.  It is the identity part
+    of the first row left without a pivot and with a nonzero right-hand
+    side, over d, whose own coefficient d becomes 1.
     """
     n = len(rows)
-    aug = [row + [Fraction(rhs[i])] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(_fractions(rows))]
-    pivots, _ = _eliminate(aug, ncols)
-    for row in aug[len(pivots):]:
+    _, cleared = _clear([row + [rhs[i]] for i, row in enumerate(rows)])
+    mat, pivots, _ = bareiss([row + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(cleared)], ncols)
+    d = _last_pivot(mat, pivots)
+    for row in mat[len(pivots):]:
         if row[ncols] != 0:
-            return None, row[ncols + 1 :]
+            return None, [Fraction(v, d) for v in row[ncols + 1 :]]
     t = [Fraction(0)] * ncols
-    for row, c in zip(aug, pivots):
-        t[c] = row[ncols]
+    for row, c in zip(mat, pivots):
+        t[c] = Fraction(row[ncols], d)
     return t, None
 
 
 def invert(square: list[Row]) -> list[Row] | None:
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(square)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(_fractions(square))]
-    pivots, _ = _eliminate(aug, n)
+    den, cleared = _clear(square)
+    mat, pivots, _ = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(cleared)], n)
     if len(pivots) < n:
         return None
-    return [row[n:] for row in aug]
+    d = _last_pivot(mat, pivots)  # mat = d * [I | (den * square)^-1]
+    return [[Fraction(v * den, d) for v in row[n:]] for row in mat]
 
 
 def det(square: list[Row]) -> Fraction:
-    n = len(square)
-    pivots, product = _eliminate(_fractions(square), n)
-    return product if len(pivots) == n else Fraction(0)
+    den, cleared = _clear(square)
+    return Fraction(bareiss(cleared, len(square))[2], den ** len(square))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +265,16 @@ def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
     points x (x @ K = 0) are the identity parts of the Hermite rows of
     [K | I] whose K part vanishes (Cohen, GTM 138, section 2.4.3).
     """
-    basis, pivots = rref(span_rows, ncols)
+    mat, pivots, _ = bareiss(_clear(span_rows)[1], ncols)
+    d = _last_pivot(mat, pivots)
     free = [c for c in range(ncols) if c not in pivots]
-    complement = []  # columns of K: e_f - sum_i basis[i][f] e_pivots[i], cleared
+    complement = []  # columns of K: d e_f - sum_i mat[i][f] e_pivots[i]
     for f in free:
-        vec = [Fraction(int(c == f)) for c in range(ncols)]
-        for row, c in zip(basis, pivots):
+        vec = [0] * ncols
+        vec[f] = d
+        for row, c in zip(mat, pivots):
             vec[c] = -row[f]
-        den = lcm(*(v.denominator for v in vec))
-        complement.append([int(v * den) for v in vec])
+        complement.append(vec)
     q = len(free)
     stacked = hnf([[vec[i] for vec in complement] + [int(i == j) for j in range(ncols)]
                    for i in range(ncols)])
@@ -309,8 +294,7 @@ class RatLattice:
     @classmethod
     def from_rows(cls, rational_rows: list[Row], ncols: int) -> "RatLattice":
         # den is minimal: the rows lie in the lattice, so any d clearing it clears them
-        den = lcm(1, *(Fraction(v).denominator for row in rational_rows for v in row))
-        scaled = [[int(Fraction(v) * den) for v in row] for row in rational_rows]
+        den, scaled = _clear(rational_rows)
         return cls(den, hnf(scaled), ncols)
 
     @property

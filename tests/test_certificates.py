@@ -375,7 +375,7 @@ def test_common_axis_multiple():
 
 
 def _oracle_exponent(z, p):
-    """max(0, -min v_p(Z^-1)) from the Fraction inverse, None when singular."""
+    """max(0, -min v_p(Z^-1)) from the exact rational inverse, None when singular."""
     inv = linalg.invert(z)
     return None if inv is None else max(0, -min(valuation(v, p) for row in inv for v in row))
 
@@ -384,7 +384,7 @@ def _integer_exponent(z, p, extra=1):
     # M = d*Z with d the lcm of Z's denominators, times an extra factor
     d = math.lcm(*(v.denominator for row in z for v in row)) * extra
     square = [[int(v * d) for v in row] for row in z]
-    return certificates._inverse_exponent(p, d, square, linalg.bareiss(square, len(z))[1])
+    return certificates._inverse_exponent(p, d, square, linalg.bareiss(square, len(z))[2])
 
 
 @st.composite

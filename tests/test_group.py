@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -327,6 +328,33 @@ def test_membership_matches_both_oracles_on_real_contexts(seed):
         expected = membership(e).to_json()
         assert expected == scan_membership(e).to_json(), e
         assert expected == reference_membership(e).to_json(), e
+
+
+def test_membership_of_gapped_supports_matches_both_oracles():
+    # the layer cases at p <= 5 with their last coordinate moved to index 40,
+    # past every construction width there, and an integer entry at 25
+    cases = [(p, e) for p, e in layer_cases(300, 300) if p <= 5 and not e.x.is_zero]
+    assert len(cases) > 100
+    for p, e in cases:
+        last = e.x.max_support
+        z = GroupElement(e.x0, FinVec({**{40 if i == last else i: v for i, v in e.x.items()}, 25: 1}))
+        expected = membership(z).to_json()
+        assert expected == scan_membership(z).to_json(), z
+        assert expected == reference_membership(z).to_json(), z
+
+
+def test_membership_work_follows_the_support_not_the_largest_index():
+    # one entry at index 10^6: a dense cleared row alone would take megabytes
+    z = element(0, {10 ** 6: F(1, 2)})
+    build_context(2)
+    tracemalloc.start()
+    try:
+        verdict = membership(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert verdict.to_json() == reference_membership(z).to_json()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -25,6 +25,112 @@ from padicgroup.linalg import (
 F = Fraction
 
 
+# ---------------------------------------------------------------------------
+# reference: Gauss-Jordan on Fraction rows with the kernel's pivot rule
+
+def _fractions(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def _eliminate(mat, ncols):
+    """Gauss-Jordan in place on the first ncols columns, each column pivoting
+    on the first remaining row nonzero there; returns the pivot columns and
+    the signed product of the pivots before scaling."""
+    pivots = []
+    product = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            product = -product
+        lead = mat[r][c]
+        product *= lead
+        inv = 1 / lead
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, product
+
+
+def _reference_rref(rows, ncols):
+    mat = _fractions(rows)
+    pivots, _ = _eliminate(mat, ncols)
+    return mat[: len(pivots)], pivots
+
+
+def _reference_det(square):
+    pivots, product = _eliminate(_fractions(square), len(square))
+    return product if len(pivots) == len(square) else Fraction(0)
+
+
+def _reference_invert(square):
+    n = len(square)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(_fractions(square))]
+    if len(_eliminate(aug, n)[0]) < n:
+        return None
+    return [row[n:] for row in aug]
+
+
+def _reference_solve_right(rows, rhs, ncols):
+    n = len(rows)
+    aug = [row + [Fraction(rhs[i])] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(_fractions(rows))]
+    pivots, _ = _eliminate(aug, ncols)
+    for row in aug[len(pivots):]:
+        if row[ncols] != 0:
+            return None, row[ncols + 1 :]
+    t = [Fraction(0)] * ncols
+    for row, c in zip(aug, pivots):
+        t[c] = row[ncols]
+    return t, None
+
+
+@st.composite
+def _rational_systems(draw):
+    """(rows, rhs, ncols): up to 5 x 6 rational rows, often with zero rows,
+    repeated or scaled rows and rational combinations of earlier rows, a
+    right-hand side and a pivot width ncols <= the row length."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in range(1, m):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "repeat", "combine"]))
+        if kind == "zero":
+            rows[i] = [F(0)] * n
+        elif kind == "repeat":
+            src, scale = draw(st.integers(0, i - 1)), draw(st.sampled_from([1, -1, 2, F(1, 3)]))
+            rows[i] = [scale * v for v in rows[src]]
+        elif kind == "combine":
+            coeffs = draw(st.lists(entry, min_size=i, max_size=i))
+            rows[i] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return rows, rhs, draw(st.integers(1, n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rational_systems())
+def test_elimination_matches_the_fraction_reference(system):
+    rows, rhs, ncols = system
+    n = len(rows[0])
+    assert rref(rows, ncols) == _reference_rref(rows, ncols)
+    assert rref(rows, n) == _reference_rref(rows, n)
+    assert rank(rows, ncols) == len(_reference_rref(rows, ncols)[1])
+    assert solve_right(rows, rhs, n) == _reference_solve_right(rows, rhs, n)
+    k = min(len(rows), n)
+    square = [row[:k] for row in rows[:k]]
+    assert det(square) == _reference_det(square)
+    assert invert(square) == _reference_invert(square)
+
+
 def test_rref_and_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     reduced, pivots = rref([list(map(F, r)) for r in rows], 3)
@@ -265,12 +371,16 @@ def _integer_matrices(rows, cols):
 @given(st.integers(1, 5).flatmap(lambda k: _integer_matrices(k, k + 1)))
 def test_bareiss_pivots_and_determinant_match_the_fraction_elimination(rows):
     k = len(rows)
-    pivots, block_det = bareiss(rows, k + 1)
-    assert pivots == rref(rows, k + 1)[1]
+    mat, pivots, block_det = bareiss(rows, k + 1)
+    reference = _fractions(rows)
+    assert pivots == _eliminate(reference, k + 1)[0]
+    # d times the rational elimination, rows left without a pivot included
+    d = mat[0][pivots[0]] if pivots else 1
+    assert mat == [[d * v for v in row] for row in reference]
     square = [row[:k] for row in rows]
-    assert bareiss(square, k)[1] == det(square)
+    assert bareiss(square, k)[2] == _reference_det(square)
     if len(pivots) == k:
-        assert block_det == det([[row[c] for c in pivots] for row in rows])
+        assert block_det == _reference_det([[row[c] for c in pivots] for row in rows])
     else:
         assert block_det == 0
 
