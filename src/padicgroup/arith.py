@@ -102,17 +102,25 @@ def reduce_mod(q: Fraction | int, p: int, m: int = 1) -> int:
     return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| in increasing order, by trial division."""
+def prime_factors(n: int, cap: int | None = None) -> list[int]:
+    """Distinct prime factors of |n| in increasing order, by trial division.
+
+    With a cap, division stops once the divisor passes it, and a cofactor
+    left above the cap (all its prime factors are) is refused.
+    """
     n = abs(n)
     out = []
     f = 2
-    while f * f <= n:
+    while f * f <= n and (cap is None or f <= cap):
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
+    if cap is not None and n > cap:
+        # the cofactor is known prime when the loop ended on f * f > n
+        what = "prime" if f * f > n else "factor"
+        raise CapacityExceededError(f"{what} {n} exceeds the prime cap", required=n, cap=cap)
     if n > 1:
         out.append(n)
     return out

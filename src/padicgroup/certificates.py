@@ -275,11 +275,8 @@ def _solve_lambda(gens: list[GroupElement], k: int) -> FinVec:
     rhs = [g.x0 for g in gens]
     t, u = linalg.solve_right(rows, rhs, k)
     if t is None:
-        c = GroupElement.zero()
-        for ui, g in zip(u, gens):
-            c = c + g.scale(ui)
-        # c = (c0, 0) with c0 != 0; scale to a positive integer axis element
-        n = abs(c.x0.numerator)
+        # sum u_i g_i = (c0, 0) with c0 != 0; scale to a positive integer axis element
+        n = abs(sum(ui * g.x0 for ui, g in zip(u, gens)).numerator)
         witness = GroupElement(Fraction(n), FinVec.zero())
         raise SpanMeetsAxisError(
             f"span contains the nonzero axis element ({n}, 0)", witness=witness

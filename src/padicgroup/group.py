@@ -206,12 +206,14 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
     Starts from the generators together with all integer points of their
     rational span (integer vectors are always members), then saturates at
     each candidate prime p: each round adjoins (1/p) sum c_i b_i for a
-    basis c of saturation_kernel, until that kernel is trivial.  The
-    fixpoint G meet L[1/p] is unique and its Hermite basis canonical.
+    basis c of saturation_kernel, in integers (RatLattice.adjoin), until
+    that kernel is trivial.  The fixpoint G meet L[1/p] is unique and its
+    Hermite basis canonical.
     With a certified bound D the candidate primes are exactly the divisors
     of D and the fixpoint is the full pure closure; otherwise primes up to
     the configured cap are probed and the result is marked
-    possibly-incomplete.
+    possibly-incomplete.  A factor of D past the prime cap is refused before
+    any round; trial division stops at the cap.
     """
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -233,7 +235,7 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
     lat = linalg.RatLattice.from_rows(gen_rows + int_rows, ncols)
 
     if bound is not None:
-        primes = prime_factors(bound)
+        primes = prime_factors(bound, config.prime_cap)
         status = "complete"
     else:
         primes = sorted(set(primes_up_to(config.purify_prime_cap)) | set(prime_factors(lat.den)))
@@ -244,11 +246,7 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
             kernel = saturation_kernel(lat, p, config)
             if not kernel:
                 break
-            rows = lat.rational_rows()
-            lat = linalg.RatLattice.from_rows(rows + [
-                [sum(c * row[j] for c, row in zip(coeffs, rows)) / p for j in range(ncols)]
-                for coeffs in kernel
-            ], ncols)
+            lat = lat.adjoin(kernel, p)
         else:
             raise CapacityExceededError(
                 f"saturation at prime {p} did not stabilize",

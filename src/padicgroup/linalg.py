@@ -12,13 +12,16 @@ reads the integer rows directly.  ``smith_exponent`` reads the largest
 power of p among the invariant factors of an integer matrix from a Smith
 elimination mod a power of p.  ``EchelonModP`` is the incremental F_p
 echelon form of the saturation kernel, and ``hnf`` the one Hermite
-reduction over Z.  Nothing here knows about the group.
+reduction over Z.  ``RatLattice`` holds a lattice as integer Hermite rows
+over its least denominator; ``adjoin`` grows it by (1/p)-combinations of
+its basis without leaving the integers.  Nothing here knows about the
+group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import int_valuation
 
@@ -282,7 +285,8 @@ def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
 
 
 class RatLattice:
-    """Finitely generated subgroup of Q^ncols as (1/den) * integer row lattice."""
+    """Finitely generated subgroup of Q^ncols as (1/den) * integer row lattice,
+    canonical: ``rows`` is the Hermite basis and ``den`` the least denominator."""
 
     __slots__ = ("den", "rows", "ncols")
 
@@ -321,3 +325,17 @@ class RatLattice:
 
     def add_row(self, vec: Row) -> "RatLattice":
         return RatLattice.from_rows(self.rational_rows() + [vec], self.ncols)
+
+    def adjoin(self, coeffs: list[list[int]], p: int) -> "RatLattice":
+        """The lattice plus (1/p) sum_i c_i b_i for each c in coeffs, b_i the basis.
+
+        Over den * p the basis is p * rows and each new vector sum_i c_i rows_i.
+        The least denominator divides den * p, so dividing both by their gcd g
+        keeps den least; as hnf(L) / g = hnf(L / g), from_rows of the same
+        vectors returns the same pair.
+        """
+        scaled = hnf([[p * v for v in row] for row in self.rows] + [
+            [sum(c * row[j] for c, row in zip(cs, self.rows)) for j in range(self.ncols)]
+            for cs in coeffs])
+        g = gcd(self.den * p, *(v for row in scaled for v in row))
+        return RatLattice(self.den * p // g, [[v // g for v in row] for row in scaled], self.ncols)

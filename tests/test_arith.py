@@ -14,7 +14,7 @@ from padicgroup.arith import (
     reduce_mod,
     valuation,
 )
-from padicgroup.errors import NotPAdicIntegerError, NotPrimeError
+from padicgroup.errors import CapacityExceededError, NotPAdicIntegerError, NotPrimeError
 
 
 def test_parse_rational_round_trip():
@@ -98,6 +98,24 @@ def test_prime_factors():
     assert prime_factors(2) == [2]
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(97) == [97]
+
+
+def test_prime_factors_within_a_cap():
+    assert prime_factors(360, cap=5) == [2, 3, 5]
+    assert prime_factors(2 * 97, cap=97) == [2, 97]
+    assert prime_factors(1, cap=1) == []
+
+
+@pytest.mark.parametrize("n, cap, detail", [
+    (1009, 1000, "prime 1009"),                  # a prime past the cap
+    (1009 * 1013, 1000, "factor 1022117"),       # two primes past it: division stops at the cap
+    (2 * 1009, 1000, "prime 1009"),              # 2 divides out; the prime cofactor is refused
+    (2 ** 61 - 1, 10 ** 4, "factor 2305843009213693951"),
+])
+def test_prime_factors_refuses_a_cofactor_past_the_cap(n, cap, detail):
+    with pytest.raises(CapacityExceededError, match=f"^{detail} exceeds the prime cap$") as info:
+        prime_factors(n, cap=cap)
+    assert (info.value.required, info.value.cap) == (int(detail.split()[1]), cap)
 
 
 def test_primes_up_to_matches_sieve_of_eratosthenes():

@@ -497,6 +497,20 @@ def test_purify_rejects_bound_zero(gens):
         purify(gens, bound=0)
 
 
+@pytest.mark.parametrize("bound, detail", [
+    (2305843009213693951, "factor 2305843009213693951 exceeds the prime cap"),  # 2^61 - 1
+    (1000003, "prime 1000003 exceeds the prime cap"),
+    (2 * 1000003, "prime 1000003 exceeds the prime cap"),
+])
+def test_purify_refuses_a_bound_factor_past_the_prime_cap_before_saturating(bound, detail, monkeypatch):
+    rounds = []
+    monkeypatch.setattr(group_module, "saturation_kernel", lambda *args: rounds.append(args))
+    with pytest.raises(CapacityExceededError, match=detail) as info:
+        purify([element(-1, {1: -1})], bound=bound)
+    assert (info.value.required, info.value.cap) == (int(detail.split()[1]), DEFAULT.prime_cap)
+    assert rounds == []
+
+
 def test_saturation_kernel():
     # (1/p)(-1, -e1) is a member exactly at the class primes 2, 3, 7 of -e1
     lat = RatLattice.from_rows([element_row(element(-1, {1: -1}), 1)], 2)

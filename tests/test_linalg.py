@@ -353,6 +353,56 @@ def test_rat_lattice_den_is_minimal(rows):
     assert all(any(row) for row in lat.rows)  # the first r hnf rows keep their pivots
 
 
+def _reference_adjoin(lat, coeffs, p):
+    """The former purify round: the Fraction basis and (1/p)-combinations,
+    cleared again by from_rows."""
+    rows = lat.rational_rows()
+    combos = [[sum((c * row[j] for c, row in zip(cs, rows)), F(0)) / p for j in range(lat.ncols)]
+              for cs in coeffs]
+    return RatLattice.from_rows(rows + combos, lat.ncols)
+
+
+@st.composite
+def _adjoin_cases(draw):
+    """A lattice of 0-4 rational rows over 1-5 columns, with denominators
+    holding powers of p, and coefficient vectors in 0..p-1, sometimes with
+    a zero vector or a repeated one."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ncols = draw(st.integers(1, 5))
+    den = st.builds(lambda e, u: p ** e * u, st.integers(0, 3), st.sampled_from([1, 2, 3, 5, 7]))
+    entry = st.builds(F, st.integers(-12, 12), den)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    lat = RatLattice.from_rows(rows, ncols)
+    vec = st.lists(st.integers(0, p - 1), min_size=lat.dim, max_size=lat.dim)
+    coeffs = draw(st.lists(vec, min_size=1, max_size=3))
+    extra = draw(st.sampled_from(["none", "zero", "repeat"]))
+    if extra == "zero":
+        coeffs.append([0] * lat.dim)
+    elif extra == "repeat":
+        coeffs.append(list(coeffs[0]))
+    return lat, coeffs, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(_adjoin_cases())
+def test_adjoin_matches_the_fraction_rebuild(case):
+    lat, coeffs, p = case
+    grown, expected = lat.adjoin(coeffs, p), _reference_adjoin(lat, coeffs, p)
+    assert (grown.den, grown.rows, grown.ncols) == (expected.den, expected.rows, expected.ncols)
+
+
+def test_adjoin_halves_the_square_lattice():
+    square = RatLattice.from_rows([[1, 0], [0, 1]], 2)
+    grown = square.adjoin([[1, 1]], 2)
+    assert (grown.den, grown.rows) == (2, [[1, 1], [0, 2]])
+    # a zero combination changes nothing, and (1/2)(0, 1) = (1/4)(0, 2) fills
+    # in (1/2)Z^2, whose least denominator is 2 again, not 4
+    same = grown.adjoin([[0, 0]], 2)
+    assert (same.den, same.rows) == (2, grown.rows)
+    filled = grown.adjoin([[0, 1]], 2)
+    assert (filled.den, filled.rows) == (2, [[1, 0], [0, 1]])
+
+
 def _integer_matrices(rows, cols):
     """Small integer matrices; one in three has its last row a combination
     of the others, so rank-deficient ones are common."""
