@@ -68,16 +68,7 @@ def valuation(q: Fraction | int, p: int) -> int | float:
     q = Fraction(q)
     if q == 0:
         return math.inf
-    v = 0
-    num = q.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
 def int_valuation(n: int, p: int) -> int:

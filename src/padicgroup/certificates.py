@@ -323,16 +323,20 @@ def _inverse_exponent(p: int, d: int, square: list[list[int]], det: int) -> int 
     """max(0, -min v_p(Z^-1)) for Z = square/d, given det = det(square);
     None when Z is singular.
 
-    Z^-1 = d * square^-1, and the least valuation of square^-1 is -e with
-    p^e the largest power of p among square's invariant factors, so the
-    exponent is max(0, e - v_p(d)).  The exponents of the invariant factors
-    sum to v_p(det), so e <= v_p(det) and no elimination is needed when
-    v_p(det) <= v_p(d).
+    Z^-1 = d * adj(square) / det, so the exponent is v_p(det) minus the
+    least valuation of a nonzero entry of adj(square), minus v_p(d), floored
+    at 0.  One Bareiss elimination of [square | I] leaves +-det * square^-1
+    = +-adj(square) in its right block.  That least valuation is at least
+    0, so no elimination is needed when v_p(det) <= v_p(d).
     """
     if det == 0:
         return None
     v, vd = int_valuation(det, p), int_valuation(d, p)
-    return 0 if v <= vd else max(0, linalg.smith_exponent(square, p, v) - vd)
+    if v <= vd:
+        return 0
+    k = len(square)
+    mat, _, _ = linalg.bareiss([row + [int(i == j) for j in range(k)] for i, row in enumerate(square)], k)
+    return max(0, v - min(int_valuation(a, p) for row in mat for a in row[k:] if a) - vd)
 
 
 def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected, det: int) -> BadPrimeRecord:

@@ -23,7 +23,7 @@ from functools import reduce
 from math import gcd
 
 from . import linalg
-from .arith import int_valuation, prime_factors, primes_up_to, valuation
+from .arith import int_valuation, prime_factors, primes_up_to
 from .bookkeeping import FINGERPRINT
 from .config import DEFAULT, Config
 from .construction import build_context, iter_window_residues, layer_conditions
@@ -183,7 +183,7 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     EchelonModP, a reduced form, returns the same basis as for the residue
     matrix.  The loop stops as soon as that matrix has full column rank.
     """
-    e = valuation(lat.den, p)
+    e = int_valuation(lat.den, p)
     scale = p ** e
     echelon = linalg.EchelonModP(p, lat.dim)
     g = reduce(gcd, (v for row in lat.rows for v in row[1:]), 0)

@@ -1,29 +1,25 @@
-"""Exact linear algebra over Q, F_p, Z and Z_p.
+"""Exact linear algebra over Q, F_p and Z, one elimination kernel per ring.
 
-One elimination loop over Q, ``bareiss``, serves everything rational: a
-fraction-free Gauss-Jordan on integer rows, pivoting each column on the
-first remaining row nonzero there, while extra columns (a right-hand side,
-an identity block) ride along.  It ends at d times the reduced echelon
-form, d its last pivot, and yields the determinant of the pivot block.
-``rref``, ``rank``, ``solve_right``, ``invert`` and ``det`` clear rational
-input by one common denominator (``_clear``, which ``RatLattice`` uses too)
-and divide by d only where they return Fractions; ``integer_span_points``
-reads the integer rows directly.  ``smith_exponent`` reads the largest
-power of p among the invariant factors of an integer matrix from a Smith
-elimination mod a power of p.  ``EchelonModP`` is the incremental F_p
-echelon form of the saturation kernel, and ``hnf`` the one Hermite
-reduction over Z.  ``RatLattice`` holds a lattice as integer Hermite rows
-over its least denominator; ``adjoin`` grows it by (1/p)-combinations of
-its basis without leaving the integers.  Nothing here knows about the
-group.
+Over Q, ``bareiss`` serves everything rational: a fraction-free
+Gauss-Jordan on integer rows, pivoting each column on the first remaining
+row nonzero there, while extra columns (a right-hand side, an identity
+block) ride along.  It ends at d times the reduced echelon form, d its
+last pivot, and yields the determinant of the pivot block.  ``rref``,
+``rank``, ``solve_right``, ``invert`` and ``det`` clear rational input by
+one common denominator (``_clear``, which ``RatLattice`` uses too) and
+divide by d only where they return Fractions; ``integer_span_points``
+reads the integer rows directly.  Over F_p, ``EchelonModP`` is the
+incremental echelon form of the saturation kernel.  Over Z, ``hnf`` is
+the one Hermite reduction.  ``RatLattice`` holds a lattice as integer
+Hermite rows over its least denominator: ``contains`` compares Hermite
+forms, and ``adjoin`` grows it by (1/p)-combinations of its basis without
+leaving the integers.  Nothing here knows about the group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .arith import int_valuation
 
 Row = list
 
@@ -76,32 +72,6 @@ def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
 def _last_pivot(mat: list[list[int]], pivots: list[int]) -> int:
     """The factor d of bareiss's rows: every pivot row holds it at its pivot."""
     return mat[0][pivots[0]] if pivots else 1
-
-
-def smith_exponent(square: list[list[int]], p: int, v: int) -> int:
-    """Largest exponent of p among the invariant factors of a nonsingular
-    integer matrix whose determinant has p-adic valuation v.
-
-    Over Z_p the exponents sum to v, so eliminating modulo p^(v+1) loses
-    none of them.  Each step pivots on an entry of least valuation, which
-    divides every remaining entry: its row clears the pivot column, and the
-    pivot row and column drop out.  The pivot exponents are those of the
-    Smith form and never decrease, so the last one is the largest.
-    """
-    q = p ** (v + 1)
-    mat = [[a % q for a in row] for row in square]
-    e = 0
-    while mat:
-        e, r, c = min((int_valuation(a, p), i, j)
-                      for i, row in enumerate(mat) for j, a in enumerate(row) if a)
-        top = mat.pop(r)
-        unit = pow(top[c] // p ** e, -1, q)
-        rest = []
-        for row in mat:
-            f = row[c] // p ** e * unit
-            rest.append([(a - f * b) % q for j, (a, b) in enumerate(zip(row, top)) if j != c])
-        mat = rest
-    return e
 
 
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
@@ -309,19 +279,13 @@ class RatLattice:
         return [[Fraction(v, self.den) for v in row] for row in self.rows]
 
     def contains(self, vec: Row) -> bool:
-        """Exact membership by back-substitution against the Hermite basis."""
+        """Exact membership: den * vec is integral and adding it leaves the
+        Hermite basis, which is canonical, unchanged.  The empty lattice
+        holds only the zero vector, whose Hermite form is empty."""
         target = [Fraction(v) * self.den for v in vec]
         if any(v.denominator != 1 for v in target):
             return False
-        target = [int(v) for v in target]
-        for row in self.rows:
-            c = next(i for i, v in enumerate(row) if v)
-            if target[c] % row[c] != 0:
-                return False
-            q = target[c] // row[c]
-            if q:
-                target = [a - q * b for a, b in zip(target, row)]
-        return not any(target)
+        return hnf(self.rows + [[int(v) for v in target]]) == self.rows
 
     def add_row(self, vec: Row) -> "RatLattice":
         return RatLattice.from_rows(self.rational_rows() + [vec], self.ncols)

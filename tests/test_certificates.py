@@ -415,7 +415,7 @@ def test_inverse_exponent_matches_the_fraction_inverse(case):
 @pytest.mark.parametrize("z,p,extra,m", [
     # e > v_p(d): M = diag(1, 8) at d = 2, so e = 3 and m = 2
     ([[F(1, 2), F(0)], [F(0), F(4)]], 2, 1, 2),
-    # v_p(d) > e on the Smith path: M = 2*unipotent at d = 4, v = 3 > v_p(d) = 2 > e = 1
+    # v_p(d) > e after elimination: M = 2*unipotent at d = 4, v = 3 > v_p(d) = 2 > e = 1
     ([[F(1, 2), F(1, 2), F(0)], [F(0), F(1, 2), F(0)], [F(0), F(0), F(1, 2)]], 2, 2, 0),
     # v_p(d) > e without elimination: M = [[1, 3], [0, 1]] at d = 9 is unimodular
     ([[F(1, 9), F(1, 3)], [F(0), F(1, 9)]], 3, 1, 0),

@@ -6,7 +6,6 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicgroup.arith import valuation
 from padicgroup.linalg import (
     EchelonModP,
     RatLattice,
@@ -18,7 +17,6 @@ from padicgroup.linalg import (
     rank,
     rank_mod,
     rref,
-    smith_exponent,
     solve_right,
 )
 
@@ -353,6 +351,54 @@ def test_rat_lattice_den_is_minimal(rows):
     assert all(any(row) for row in lat.rows)  # the first r hnf rows keep their pivots
 
 
+def _reference_contains(lat, vec):
+    """The former membership test: back-substitution against the Hermite basis."""
+    target = [F(v) * lat.den for v in vec]
+    if any(v.denominator != 1 for v in target):
+        return False
+    target = [int(v) for v in target]
+    for row in lat.rows:
+        c = next(i for i, v in enumerate(row) if v)
+        if target[c] % row[c] != 0:
+            return False
+        q = target[c] // row[c]
+        if q:
+            target = [a - q * b for a, b in zip(target, row)]
+    return not any(target)
+
+
+@st.composite
+def _contains_cases(draw):
+    """A lattice of 0-4 rational rows over 1-4 columns, denominators built
+    from 2, 3 and 5, and a vector that is an integer combination of its
+    rows, a half-step of one, a random vector (mostly outside the span), or
+    one that den * v leaves non-integral."""
+    ncols = draw(st.integers(1, 4))
+    den = st.builds(lambda a, b, c: 2 ** a * 3 ** b * 5 ** c,
+                    st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+    entry = st.builds(F, st.integers(-9, 9), den)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    lat = RatLattice.from_rows(rows, ncols)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    vec = [sum((c * row[j] for c, row in zip(coeffs, rows)), F(0)) for j in range(ncols)]
+    kind = draw(st.sampled_from(["combination", "half-step", "outside", "non-integral"]))
+    if kind == "half-step":
+        vec = [v / 2 for v in vec]
+    elif kind == "outside":
+        vec = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    elif kind == "non-integral":
+        j = draw(st.integers(0, ncols - 1))
+        vec[j] += F(1, 7 * lat.den)
+    return lat, vec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_contains_cases())
+def test_contains_matches_the_back_substitution(case):
+    lat, vec = case
+    assert lat.contains(vec) == _reference_contains(lat, vec)
+
+
 def _reference_adjoin(lat, coeffs, p):
     """The former purify round: the Fraction basis and (1/p)-combinations,
     cleared again by from_rows."""
@@ -433,17 +479,3 @@ def test_bareiss_pivots_and_determinant_match_the_fraction_elimination(rows):
         assert block_det == _reference_det([[row[c] for c in pivots] for row in rows])
     else:
         assert block_det == 0
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4).flatmap(lambda k: _integer_matrices(k, k)),
-       st.lists(st.integers(0, 3), min_size=4, max_size=4))
-def test_smith_exponent_is_the_least_valuation_of_the_inverse(p, rows, powers):
-    # scaling columns by powers of p makes large exponents common
-    square = [[v * p ** a for v, a in zip(row, powers)] for row in rows]
-    d = det(square)
-    if d == 0:
-        return
-    inv = invert(square)
-    e = -min(valuation(v, p) for row in inv for v in row)
-    assert smith_exponent(square, p, valuation(d, p)) == e
