@@ -12,8 +12,6 @@ only when their fingerprints agree.
 from __future__ import annotations
 
 import hashlib
-import threading
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -103,11 +101,10 @@ def unpair0(z: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # scalar enumerations
 
-_rat_lock = threading.Lock()
-_rat_blocks: list[list[Fraction]] = [[]]  # block h at position h; block 0 empty
-_rat_cum: list[int] = [0]  # cumulative counts through block h
+RAT_HEIGHT_CAP = 100_000  # largest rational height a lookup may reach
 
 
+@lru_cache(maxsize=256)
 def _rat_block(h: int) -> list[Fraction]:
     """All reduced fractions of height h, ordered by (numerator, denominator):
     -h/d, then n/h for |n| < h, then h/d, with d and |n| coprime to h."""
@@ -118,37 +115,58 @@ def _rat_block(h: int) -> list[Fraction]:
             + [Fraction(n, h) for n in units] + [Fraction(h, d) for d in units])
 
 
-def _grow_rat_blocks(h: int) -> None:
-    with _rat_lock:
-        while len(_rat_blocks) <= h:
-            block = _rat_block(len(_rat_blocks))
-            _rat_blocks.append(block)
-            _rat_cum.append(_rat_cum[-1] + len(block))
+def _totient_sum(n: int, memo: dict) -> int:
+    """phi(1) + ... + phi(n).  Its values at n // d over d = 1..n add up to
+    n(n+1)/2, and n // d takes O(sqrt n) values; memo keeps those seen."""
+    total, d = n * (n + 1) // 2, 2
+    while d <= n:
+        last = n // (n // d)
+        total -= (last - d + 1) * (memo.get(n // d) or _totient_sum(n // d, memo))
+        d = last + 1
+    memo[n] = total
+    return total
 
 
+def _rat_count(h: int, memo: dict) -> int:
+    """Number of rationals of height below h: 3 of height 1, 4 phi(k) of height k >= 2."""
+    return max(4 * _totient_sum(h - 1, memo) - 1, 0)
+
+
+@lru_cache(maxsize=1 << 12)
 def enum_rat(n: int) -> Fraction:
     """The n-th rational (1-based) in the height order."""
     if n < 1:
         raise EnumerationRangeError(f"rational index must be >= 1, got {n}")
-    h = len(_rat_blocks) - 1
-    while _rat_cum[-1] < n:
-        # block sizes grow linearly, so heights grow like sqrt(n)
-        h = max(h + 1, isqrt(n // 2))
-        _grow_rat_blocks(h)
-    block = bisect_left(_rat_cum, n, 1)  # smallest block with cumulative count >= n
-    return _rat_blocks[block][n - 1 - _rat_cum[block - 1]]
+    memo: dict = {}
+    # about 12 h^2 / pi^2 rationals have height <= h; up to the cap h is off by <= 2
+    h = max(1, min(isqrt(n * 100_000 // 121_585), RAT_HEIGHT_CAP))
+    while _rat_count(h, memo) >= n:
+        h -= 1
+    while _rat_count(h + 1, memo) < n:
+        if h == RAT_HEIGHT_CAP:
+            raise CapacityExceededError(f"rational height passed the cap of {h}", required=h + 1, cap=h)
+        h += 1
+    if h == 1:
+        return Fraction(n - 2)
+    units = [t for t in range(1, h) if gcd(t, h) == 1]
+    segment, i = divmod(n - 1 - _rat_count(h, memo), len(units))
+    t = units[-1 - i if segment == 1 else i]  # the numerators -t/h run downwards
+    return (Fraction(-h, t), Fraction(-t, h), Fraction(t, h), Fraction(h, t))[segment]
 
 
 def rat_code0(q: Fraction | int) -> int:
     """0-based position of q in the height order (inverse of enum_rat, shifted)."""
-    q = Fraction(q)
-    h = max(abs(q.numerator), q.denominator)
-    _grow_rat_blocks(h)
-    return _rat_cum[h - 1] + _rat_blocks[h].index(q)
-
-
-def enum_rat0(c: int) -> Fraction:
-    return enum_rat(c + 1)
+    n, d = Fraction(q).as_integer_ratio()
+    h = max(abs(n), d)
+    if h > RAT_HEIGHT_CAP:
+        raise CapacityExceededError(
+            f"rational height passed the cap of {RAT_HEIGHT_CAP}", required=h, cap=RAT_HEIGHT_CAP)
+    if h == 1:
+        return n + 1
+    units = [t for t in range(1, h) if gcd(t, h) == 1]
+    segment = (0 if n < 0 else 3) if d < h else (1 if n < 0 else 2)
+    i = units.index(d if d < h else abs(n))
+    return _rat_count(h, {}) + segment * len(units) + (len(units) - 1 - i if segment == 1 else i)
 
 
 def int_at0(c: int) -> int:
@@ -211,7 +229,7 @@ def enum_qvec(i: int) -> FinVec:
     """The i-th finitely supported rational vector (1-based, surjective)."""
     if i < 1:
         raise EnumerationRangeError(f"vector index must be >= 1, got {i}")
-    return _decode_vec(i, enum_rat0)
+    return _decode_vec(i, lambda c: enum_rat(c + 1))
 
 
 def qvec_index(v: FinVec) -> int:
@@ -223,39 +241,35 @@ def _intvec_decode(code: int) -> FinVec:
     return _decode_vec(code, int_at0)
 
 
-_iv_lock = threading.Lock()
-_iv_codes: list[int] = []  # code of the i-th nonzero vector at position i-1
-_iv_scanned = 0  # codes 1.._iv_scanned processed
-
 DEFAULT_SCAN_CAP = 1_000_000
 
 
-def _iv_extend(*, count: int = 0, code: int = 0, cap: int = DEFAULT_SCAN_CAP) -> None:
-    """Scan until ``count`` nonzero vectors are known and ``code`` is scanned."""
-    global _iv_scanned
-    # the i-th vector has a code >= i, so a lookup past the cap fails before decoding
-    past_cap = max(count, code) > cap
-    with _iv_lock:
-        while len(_iv_codes) < count or _iv_scanned < code:
-            if past_cap or _iv_scanned >= cap:
-                raise CapacityExceededError(
-                    f"integer-vector scan passed the cap of {cap} codes",
-                    required=max(_iv_scanned, cap) + 1,
-                    cap=cap,
-                )
-            _iv_scanned += 1
-            # nonzero exactly when the last component is not int_at0(1) = 0
-            seq = decode_seq(_iv_scanned - 1)
-            if seq and seq[-1] != 1:
-                _iv_codes.append(_iv_scanned)
+def _iv_rank(c: int, cap: int) -> int:
+    """Number of codes in 1..c of nonzero integer vectors, refused past the cap.
+    Code z + 1 is zero when z = 0 or the sequence coded by z ends in 1: z = 3,
+    or z = pair0(x, r) + 1 with r ending in 1, where r(r+1)/2 <= pair0(x, r)."""
+    if c > cap:
+        raise CapacityExceededError(
+            f"integer-vector scan passed the cap of {cap} codes", required=cap + 1, cap=cap)
+    ends, zero, r = [False], int(c > 3), 1  # ends[r]: the sequence coded by r ends in 1
+    while r * (r + 1) // 2 + 1 < c:
+        x, rest = unpair0(r - 1)
+        ends.append(ends[rest] if rest else x == 1)
+        if ends[r]:  # the heads x with pair0(x, r) + 1 < c, i.e. (x+r)(x+r+3)/2 <= c + r - 2
+            zero += (isqrt(8 * (c + r) - 7) - 3) // 2 + 1 - r
+        r += 1
+    return c - 1 - zero
 
 
 def intvec_at(i: int, scan_cap: int = DEFAULT_SCAN_CAP) -> FinVec:
     """The i-th nonzero finitely supported integer vector (1-based)."""
     if i < 1:
         raise EnumerationRangeError(f"vector index must be >= 1, got {i}")
-    _iv_extend(count=i, cap=scan_cap)
-    return _intvec_decode(_iv_codes[i - 1])
+    # the least code of rank i: ranks grow by one per code at most, so c never passes it
+    c = i
+    while missing := i - _iv_rank(c, scan_cap):
+        c += missing
+    return _intvec_decode(c)
 
 
 def intvec_index(v: FinVec, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
@@ -265,10 +279,8 @@ def intvec_index(v: FinVec, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
     for _, val in v.items():
         if Fraction(val).denominator != 1:
             raise ValueError(f"not an integer vector: {v!r}")
-    code = _encode_vec(v, int_code0)
-    _iv_extend(code=code, cap=scan_cap)
-    # a canonical code of a nonzero vector decodes nonzero, so the scan recorded it
-    return bisect_left(_iv_codes, code) + 1
+    # a canonical code of a nonzero vector decodes nonzero, so it counts itself
+    return _iv_rank(_encode_vec(v, int_code0), scan_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ class Config:
     residue_cap: int = 1_000_000     # largest residue set any check may expand
     witness_prime_count: int = 3     # divisor primes reported per witness query
     bad_prime_cap: int = 10_000      # refuse certificates needing primes past this
-    scan_cap: int = 1_000_000        # integer-vector codes scanned per lookup
+    scan_cap: int = 1_000_000        # largest integer-vector code a lookup may reach; lookups count and keep nothing
     purify_prime_cap: int = 32       # largest prime probed when no bound is given
     purify_round_cap: int = 64       # kernel rounds per prime
     fingerprint: str = FINGERPRINT

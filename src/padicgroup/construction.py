@@ -31,12 +31,13 @@ integer affine combinations, without enumerating it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 from .arith import is_prime
-from .bookkeeping import FINGERPRINT, enum_rat0, partition_vector
+from .bookkeeping import FINGERPRINT, _rat_block, partition_vector
 from .config import DEFAULT, Config, check_prime_cap
 from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
 from .vectors import FinVec
@@ -84,10 +85,8 @@ def _forbidden_residues(p: int, vec: FinVec) -> set[int]:
     if p == 2:
         return set()  # no index in 1..p-2
     neg = [-vec[j] % p for j in range(1, vec.max_support + 1)]
-    res = []  # residue of every rational a component code can name
-    for c in range(_heads(p - 2)):
-        q = enum_rat0(c)
-        res.append(q.numerator * pow(q.denominator, -1, p) % p)
+    rats = itertools.islice((q for h in itertools.count(1) for q in _rat_block(h)), _heads(p - 2))
+    res = [q.numerator * pow(q.denominator, -1, p) % p for q in rats]  # in the height order
     last = [r * neg[-1] % p for r in res]
     if len(neg) == 1:  # the empty sequence and every one-entry sequence
         return {0, *last}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import format_rational, parse_rational, valuation
+from .arith import format_rational, parse_rational
 from .errors import NotPAdicIntegerError
 
 
@@ -206,9 +206,3 @@ def element(x0, entries=()) -> GroupElement:
     """Convenience constructor from loose scalars."""
     vec = entries if isinstance(entries, FinVec) else FinVec(dict(entries))
     return GroupElement(Fraction(x0), vec)
-
-
-def min_valuation(vec: FinVec, p: int) -> int | float:
-    """Smallest p-adic valuation over the entries (inf for the zero vector)."""
-    vals = [valuation(v, p) for _, v in vec.items()]
-    return min(vals, default=float("inf"))

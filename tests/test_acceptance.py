@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from padicgroup.arith import prime_factors
+from padicgroup.arith import prime_factors, valuation
 from padicgroup.bookkeeping import intvec_index, partition_members
 from padicgroup.certificates import (
     certify_free,
@@ -35,7 +35,7 @@ from padicgroup.construction import build_context, condition_block, visible_bloc
 from padicgroup.errors import SpanMeetsAxisError
 from padicgroup.group import is_member, membership
 from padicgroup.linalg import rank
-from padicgroup.vectors import FinVec, GroupElement, element, min_valuation
+from padicgroup.vectors import FinVec, GroupElement, element
 
 SEED = 20260814
 
@@ -88,7 +88,7 @@ def brute_member(e: GroupElement) -> bool:
     for p in sorted(prime_factors(e.denominator_lcm())):
         # two family vectors congruent mod p^m pair identically with x up to
         # a p-integer, so this window modulus is exact
-        m = max(1, -min(0, min_valuation(e.x, p)))
+        m = max(1, -min([0] + [valuation(v, p) for _, v in e.x.items()]))
         ctx = build_context(p)
         w = e.x.max_support
         count = ctx.p ** (ctx.width - 1) if any(v % p for _, v in ctx.vec.items()) else ctx.p ** ctx.width

@@ -54,6 +54,8 @@ def test_valuation_by_direct_division():
     assert valuation(Fraction(9, 8), 2) == -3
     assert valuation(Fraction(9, 8), 3) == 2
     assert valuation(Fraction(-7, 3), 7) == 1
+    assert valuation(Fraction(1, 4), 2) == -2
+    assert valuation(Fraction(1, 4), 3) == 0
     with pytest.raises(NotPrimeError):
         valuation(6, 4)
 

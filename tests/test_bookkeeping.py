@@ -1,8 +1,11 @@
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from math import gcd, log
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicgroup import bookkeeping
 from padicgroup.arith import primes_up_to
@@ -104,6 +107,7 @@ def test_rational_block_is_linear_in_height(monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(bookkeeping, "gcd", counting_gcd)
+    bookkeeping._rat_block.cache_clear()  # a cached block would make no gcd call at all
     block = bookkeeping._rat_block(300)
     assert calls < 300  # one coprimality test per d < h
     assert len(block) == 4 * 80  # 4 * phi(300)
@@ -187,7 +191,7 @@ def test_intvec_scan_cap_refuses_before_decoding(monkeypatch):
         raise AssertionError("decoded a code past the cap")
 
     monkeypatch.setattr(bookkeeping, "_intvec_decode", refuse)
-    cap = bookkeeping._iv_scanned + 10
+    cap = 1000
     for lookup in (lambda: intvec_index(FinVec({1: 10 ** 9}), scan_cap=cap),
                    lambda: intvec_at(cap + 1, scan_cap=cap)):
         with pytest.raises(CapacityExceededError) as info:
@@ -196,17 +200,20 @@ def test_intvec_scan_cap_refuses_before_decoding(monkeypatch):
         assert str(info.value) == f"integer-vector scan passed the cap of {cap} codes"
 
 
-def test_intvec_scan_keeps_codes_not_vectors():
-    scanned = bookkeeping._iv_scanned
-    count = len(bookkeeping._iv_codes) + 50_000
+def test_lookups_at_large_arguments_retain_no_memory():
+    last = bookkeeping._rat_count(bookkeeping.RAT_HEIGHT_CAP + 1, {})
+    enum_rat.cache_clear()  # a cached answer would retain nothing vacuously
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        intvec_at(count, scan_cap=scanned + 200_000)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        assert intvec_at(800_000) == FinVec({1: 627, 2: 7, 3: -1, 4: -1})
+        assert enum_rat(last) == Fraction(100_000, 99_999)
+        assert rat_code0(Fraction(1, 99_991)) == 12_156_362_803
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained < 64 * (bookkeeping._iv_scanned - scanned)
+    assert retained - before < 1000
+    assert peak - before < 8_000_000  # at most the units of one height, a list of 10^5 ints
 
 
 def test_intvec_index_rejects_nonintegral():
@@ -285,10 +292,11 @@ def test_fingerprint_frozen():
     assert fingerprint() == FINGERPRINT == "v1:353ca906f3bca6fa"
 
 
-def test_intvec_scan_keeps_exactly_the_codes_of_nonzero_vectors():
-    bookkeeping._iv_extend(code=10_000)
-    scanned = [c for c in bookkeeping._iv_codes if c <= 10_000]
-    assert scanned == [c for c in range(1, 10_001) if not bookkeeping._intvec_decode(c).is_zero]
+def test_intvec_rank_counts_the_codes_of_nonzero_vectors():
+    count = 0
+    for c in range(1, 10_001):
+        count += not bookkeeping._intvec_decode(c).is_zero
+        assert bookkeeping._iv_rank(c, c) == count, c
 
 
 def test_intvec_scan_cap_refuses_before_decoding_a_sequence(monkeypatch):
@@ -296,9 +304,94 @@ def test_intvec_scan_cap_refuses_before_decoding_a_sequence(monkeypatch):
         raise AssertionError("decoded a code past the cap")
 
     monkeypatch.setattr(bookkeeping, "decode_seq", refuse)
-    cap = bookkeeping._iv_scanned + 10
+    cap = 1000
     for lookup in (lambda: intvec_index(FinVec({1: 10 ** 9}), scan_cap=cap),
                    lambda: intvec_at(cap + 1, scan_cap=cap)):
         with pytest.raises(CapacityExceededError) as info:
             lookup()
         assert (info.value.required, info.value.cap) == (cap + 1, cap)
+
+
+# The former process-wide tables, kept here as oracles for the counting lookups.
+
+def old_rat_block(h: int) -> list[Fraction]:
+    if h == 1:
+        return [Fraction(-1), Fraction(0), Fraction(1)]
+    units = [d for d in range(1, h) if gcd(d, h) == 1]
+    return ([Fraction(-h, d) for d in units] + [Fraction(-n, h) for n in reversed(units)]
+            + [Fraction(n, h) for n in units] + [Fraction(h, d) for d in units])
+
+
+@cache
+def old_rat_table() -> list[Fraction]:
+    """The rationals of 0-based code below 200,000, block by block."""
+    table, h = [], 0
+    while len(table) < 200_000:
+        h += 1
+        table += old_rat_block(h)
+    return table[:200_000]
+
+
+@cache
+def old_iv_codes() -> list[int]:
+    """The old scan: codes below 200,000 whose sequence is nonempty and does
+    not end in 1, the code of the i-th nonzero vector at position i - 1."""
+    return [c for c in range(1, 200_000) if (seq := decode_seq(c - 1)) and seq[-1] != 1]
+
+
+def test_rational_count_matches_the_old_table():
+    table, h, memo = old_rat_table(), 1, {}
+    while (below := bookkeeping._rat_count(h, memo)) < len(table):
+        assert max(abs(table[below].numerator), table[below].denominator) == h
+        assert below == 0 or max(abs(table[below - 1].numerator), table[below - 1].denominator) == h - 1
+        h += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 199_999))
+def test_rational_lookups_match_the_old_table(c):
+    q = old_rat_table()[c]
+    assert enum_rat(c + 1) == q
+    assert rat_code0(q) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-bookkeeping.RAT_HEIGHT_CAP, bookkeeping.RAT_HEIGHT_CAP),
+       st.integers(1, bookkeeping.RAT_HEIGHT_CAP))
+def test_rat_code0_and_enum_rat_round_trip(num, den):
+    q = Fraction(num, den)
+    c = rat_code0(q)
+    assert enum_rat(c + 1) == q
+    h = max(abs(q.numerator), q.denominator)
+    assert bookkeeping._rat_count(h, {}) <= c < bookkeeping._rat_count(h + 1, {})
+
+
+def test_rational_height_cap_refuses_before_counting(monkeypatch):
+    cap = bookkeeping.RAT_HEIGHT_CAP
+    last = bookkeeping._rat_count(cap + 1, {})
+    assert enum_rat(last) == Fraction(cap, cap - 1)
+    with pytest.raises(CapacityExceededError) as info:
+        enum_rat(last + 1)
+    assert (info.value.required, info.value.cap) == (cap + 1, cap)
+    assert str(info.value) == f"rational height passed the cap of {cap}"
+
+    def refuse(h, memo):
+        raise AssertionError("counted past the height cap")
+
+    monkeypatch.setattr(bookkeeping, "_rat_count", refuse)
+    for q in (Fraction(1, 1_000_003), Fraction(10 ** 20), Fraction(-cap - 1, 2)):
+        with pytest.raises(CapacityExceededError) as info:
+            rat_code0(q)
+        assert (info.value.required, info.value.cap) == (max(abs(q.numerator), q.denominator), cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 199_999))
+def test_intvec_lookups_match_the_old_scan(c):
+    codes = old_iv_codes()
+    i = bisect_right(codes, c)
+    assert bookkeeping._iv_rank(c, c) == i
+    if i:
+        v = bookkeeping._intvec_decode(codes[i - 1])
+        assert intvec_at(i) == v
+        assert intvec_index(v) == i

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -69,6 +70,12 @@ EXIT_CASES = [
     (("witness", '{"x0": "0", "x": {"1": "1000000"}}'), 3),
     (("witness", '{"x0": "0", "x": {"1": "170"}}'), 3),
     (("enum", "partition", "--from", "100000000", "--to", "100000000"), 3),
+    # lambda of height past the rational height cap, and a class index near the scan cap
+    (("certify", '[{"x0": "1", "x": {"1": "1000003"}}]'), 3),
+    (("certify", '[{"x0": "1", "x": {"1": "100000000000000000000"}}]'), 3),
+    (("witness", '{"x0": "0", "x": {"1": "700"}}'), 3),
+    (("enum", "rat", "--from", "1000000000000", "--to", "1000000000000"), 3),
+    (("enum", "lambda", "--from", str(10 ** 40), "--to", str(10 ** 40)), 3),
     (("member", '{"x0": "0", "x": {"1": "1/2", "01": "1"}}'), 2),
     (("member", '{"x0": "0", "x": {"\u0663": "1"}}'), 2),
     (("--version",), 0),
@@ -197,6 +204,26 @@ def test_enum_rational_prefix():
     assert header == {"enum": "rat", "fingerprint": FINGERPRINT, "from": 1, "to": 8}
     values = [json.loads(line)["value"] for line in lines[1:]]
     assert values == ["-1", "0", "1", "-2", "-1/2", "1/2", "2", "-3"]
+
+
+@pytest.mark.parametrize("kind,stop,digest", [
+    ("rat", 3000, "9d98009f45da78b3be1a3db8123bcc4dd7a1ae0c2afc737c4eb8406f76e48c02"),
+    ("lambda", 500, "2439a140eff3a64dc01d1858da137d595e0522fe9f365886169c9ebdc14d0f7d"),
+    ("intvec", 3000, "3809b54ac223678d480f0bf587c49e9210d9c3af89118c0a15ea010f3e9f2232"),
+])
+def test_enum_output_is_pinned(kind, stop, digest):
+    code, out = run("enum", kind, "--from", "1", "--to", str(stop))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enum_refusal_follows_the_header():
+    code, out = run("enum", "rat", "--from", "100000000", "--to", "100000001")
+    assert code == 0 and json.loads(out.splitlines()[1])["value"] == "145/9069"
+    code, out = run("enum", "rat", "--from", "1000000000000", "--to", "1000000000000")
+    header, refusal = map(json.loads, out.splitlines())
+    assert code == 3 and header["enum"] == "rat"
+    assert (refusal["error"], refusal["required"], refusal["cap"]) == ("capacity-exceeded", 100_001, 100_000)
 
 
 def test_enum_partition_prefix():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from padicgroup import construction
 from padicgroup.arith import primes_up_to, reduce_mod
-from padicgroup.bookkeeping import FINGERPRINT, enum_qvec, enum_rat0, partition_vector, unpair0
+from padicgroup.bookkeeping import FINGERPRINT, enum_qvec, enum_rat, partition_vector, unpair0
 from padicgroup.config import DEFAULT
 from padicgroup.construction import (
     ConditionBlock,
@@ -116,7 +116,7 @@ def decode_loop_forbidden(p: int, vec: FinVec) -> set[int]:
     """Brute-force oracle of the walk: decode every code i-1 < p-2 and sum
     its first max_support components against vec."""
     coeffs = [vec[j] % p for j in range(1, vec.max_support + 1)]
-    res = [reduce_mod(enum_rat0(c), p) for c in range(isqrt(2 * p) + 2)]
+    res = [reduce_mod(enum_rat(c + 1), p) for c in range(isqrt(2 * p) + 2)]
     forbidden = set()
     for code in range(p - 2):
         total, rest = 0, code

@@ -1,9 +1,8 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from padicgroup.vectors import FinVec, GroupElement, element, min_valuation
+from padicgroup.vectors import FinVec, GroupElement, element
 
 
 def test_zero_entries_are_dropped():
@@ -116,10 +115,3 @@ def test_element_json_requires_exact_keys():
         GroupElement.from_json({"x0": "1"})
     with pytest.raises(ValueError):
         GroupElement.from_json({"x0": "1", "x": {}, "extra": 1})
-
-
-def test_min_valuation():
-    v = FinVec({1: Fraction(1, 4), 2: 6})
-    assert min_valuation(v, 2) == -2
-    assert min_valuation(v, 3) == 0
-    assert min_valuation(FinVec.zero(), 2) == math.inf
