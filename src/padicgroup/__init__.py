@@ -20,18 +20,6 @@ from .bookkeeping import (
     partition_vector,
     qvec_index,
 )
-from .certificates import (
-    BadPrimeRecord,
-    CheckOutcome,
-    DivisibilityWitness,
-    FreenessCertificate,
-    certify_free,
-    common_axis_multiple,
-    divisibility_witness,
-    verify_certificate,
-    verify_witness,
-)
-from .checks import CHECKS, CheckReport, run_check
 from .config import DEFAULT, Config, load_config
 from .construction import (
     ConditionBlock,
@@ -65,6 +53,31 @@ from .group import (
     spans_disjoint,
 )
 from .vectors import FinVec, GroupElement, element
+
+# certificates and checks load on first access to one of these names (PEP
+# 562), so the commands that need neither never compile them
+_LAZY = {
+    **dict.fromkeys(("BadPrimeRecord", "CheckOutcome", "DivisibilityWitness",
+                     "FreenessCertificate", "certify_free", "common_axis_multiple",
+                     "divisibility_witness", "verify_certificate", "verify_witness",
+                     "certificates"), "certificates"),
+    **dict.fromkeys(("CHECKS", "CheckReport", "run_check", "checks"), "checks"),
+}
+
+
+def __getattr__(name: str):
+    modname = _LAZY.get(name)
+    if modname is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f".{modname}", __name__)
+    value = module if name == modname else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "BadPrimeRecord",

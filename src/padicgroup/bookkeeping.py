@@ -11,7 +11,6 @@ only when their fingerprints agree.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -63,7 +62,9 @@ context         for a prime p with assigned vector x: l = 1 + max(p,
                 relevant i.
 """
 
-FINGERPRINT = "v1:" + hashlib.sha256(CONVENTIONS.encode()).hexdigest()[:16]
+# "v1:" and the first 16 hex digits of sha256(CONVENTIONS), written out so
+# that importing the package needs no hashlib; a test recomputes it
+FINGERPRINT = "v1:353ca906f3bca6fa"
 
 
 def fingerprint() -> str:
@@ -118,10 +119,12 @@ def _rat_block(h: int) -> list[Fraction]:
 def _totient_sum(n: int, memo: dict) -> int:
     """phi(1) + ... + phi(n).  Its values at n // d over d = 1..n add up to
     n(n+1)/2, and n // d takes O(sqrt n) values; memo keeps those seen."""
+    if n in memo:
+        return memo[n]
     total, d = n * (n + 1) // 2, 2
     while d <= n:
         last = n // (n // d)
-        total -= (last - d + 1) * (memo.get(n // d) or _totient_sum(n // d, memo))
+        total -= (last - d + 1) * _totient_sum(n // d, memo)
         d = last + 1
     memo[n] = total
     return total

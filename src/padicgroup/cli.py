@@ -4,6 +4,8 @@ Every subcommand reads elements or generator sets as inline JSON or file
 paths, prints exactly one JSON document (the enum subcommand prints JSON
 lines), and exits 0 for affirmative results, 1 for negative ones with a
 structured reason, 2 for usage problems, and 3 when a capacity cap was hit.
+The handlers that need the certificates or checks module import it
+themselves, so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -22,16 +24,6 @@ from .bookkeeping import (
     intvec_at,
     partition_vector,
 )
-from .certificates import (
-    DivisibilityWitness,
-    FreenessCertificate,
-    certify_free,
-    divisibility_witness,
-    verify_certificate,
-    verify_witness,
-    witness_primes,
-)
-from .checks import run_check
 from .config import Config, check_prime_cap, load_config
 from .construction import build_context
 from .errors import (
@@ -85,6 +77,8 @@ def _cmd_member(args, config: Config) -> int:
 
 
 def _cmd_witness(args, config: Config) -> int:
+    from .certificates import divisibility_witness, witness_primes
+
     e = _load_element(args.element)
     if args.prime is not None:
         wit = divisibility_witness(e, args.prime, config)
@@ -104,6 +98,8 @@ def _cmd_witness(args, config: Config) -> int:
 
 
 def _cmd_certify(args, config: Config) -> int:
+    from .certificates import certify_free
+
     gens = _load_gens(args.gens)
     try:
         cert = certify_free(gens, config)
@@ -120,6 +116,8 @@ def _cmd_certify(args, config: Config) -> int:
 
 
 def _cmd_verify_cert(args, config: Config) -> int:
+    from .certificates import FreenessCertificate, verify_certificate
+
     gens = _load_gens(args.gens)
     cert = FreenessCertificate.from_json(_load_json_arg(args.cert))
     out = verify_certificate(gens, cert, config)
@@ -128,6 +126,8 @@ def _cmd_verify_cert(args, config: Config) -> int:
 
 
 def _cmd_verify_witness(args, config: Config) -> int:
+    from .certificates import DivisibilityWitness, verify_witness
+
     e = _load_element(args.element)
     wit = DivisibilityWitness.from_json(_load_json_arg(args.witness))
     out = verify_witness(e, wit, config)
@@ -164,6 +164,8 @@ def _cmd_enum(args, config: Config) -> int:
 
 
 def _cmd_check(args, config: Config) -> int:
+    from .checks import run_check
+
     params = {}
     for key in ("p", "kmax", "samples", "seed", "n", "pairs"):
         value = getattr(args, key)

@@ -326,7 +326,8 @@ def _pivot_slopes(ctx: PrimeContext) -> tuple[int, dict[int, int], bool]:
     return b0, slopes, affine
 
 
-def layer_conditions(ctx: PrimeContext, w: int, m: int) -> list[tuple[int, int, int, int, int]]:
+@lru_cache(maxsize=CACHE_SIZE)
+def layer_conditions(ctx: PrimeContext, w: int, m: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Congruences that decide a Z-affine map on the residues mod p^m on
     window [1, w], as tuples (c0, j, cj, piv, cp).
 
@@ -352,7 +353,7 @@ def layer_conditions(ctx: PrimeContext, w: int, m: int) -> list[tuple[int, int, 
     point.  It is the first failing residue of the scan: mod N the layer
     point of digit index n = sum d_t p^t has the value f(q_0) + sum d_t
     (f(q_{p^t}) - f(q_0)), so no index below p^t fails unless an earlier
-    point does.
+    point does.  The tuple is cached and shared by every caller.
     """
     p = ctx.p
     w2 = min(w, ctx.width)
@@ -368,7 +369,7 @@ def layer_conditions(ctx: PrimeContext, w: int, m: int) -> list[tuple[int, int, 
         conditions = [(1, 0, 0, 0, 0)] + [(1, j, 1, 0, 0) for j in range(1, w2 + 1)]
     conditions += [(0, j, p ** (perturbation_exponent(p, j) + 1), 0, 0)
                    for j in range(1, min(w, visible_block_limit(p, m)) + 1)]
-    return conditions
+    return tuple(conditions)
 
 
 def iter_window_residues(ctx: PrimeContext, w: int, m: int,

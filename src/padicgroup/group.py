@@ -71,7 +71,7 @@ def _conditions(g: int, e: int, p: int, w: int, lift: int, config: Config):
     # an all-zero x part gives m = max(1, lift)
     m = max(1, lift + e - (int_valuation(g, p) if g else e))
     if w == 0:
-        return m, [(1, 0, 0, 0, 0)]
+        return m, ((1, 0, 0, 0, 0),)
     return m, layer_conditions(build_context(p, config), w, m)
 
 

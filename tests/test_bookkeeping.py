@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -290,6 +291,12 @@ def test_partition_classes_are_disjoint_by_construction():
 
 def test_fingerprint_frozen():
     assert fingerprint() == FINGERPRINT == "v1:353ca906f3bca6fa"
+
+
+def test_fingerprint_is_the_hash_of_the_conventions():
+    # FINGERPRINT is a literal; editing CONVENTIONS without it must fail here
+    digest = hashlib.sha256(bookkeeping.CONVENTIONS.encode()).hexdigest()
+    assert FINGERPRINT == "v1:" + digest[:16]
 
 
 def test_intvec_rank_counts_the_codes_of_nonzero_vectors():

@@ -1,0 +1,94 @@
+"""Which modules a fresh process loads: the core at import, certificates and
+checks only for the commands that use them."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import padicgroup
+
+ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+DEFERRED = {"padicgroup.certificates", "padicgroup.checks"}
+
+
+def fresh(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def cli_imports(*argv: str) -> set[str]:
+    """Modules a `python -m padicgroup` process imports, from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "padicgroup", *argv],
+                          env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_import_loads_only_the_core():
+    # modules the interpreter loaded before the import (site hooks) do not count
+    out = fresh("import json, sys; before = set(sys.modules); import padicgroup; "
+                "print(json.dumps(sorted(set(sys.modules) - before)))")
+    added = set(json.loads(out))
+    assert not added & (DEFERRED | {"padicgroup.cli", "hashlib"})
+    core = {"arith", "errors", "vectors", "bookkeeping", "config", "construction", "linalg", "group"}
+    assert {f"padicgroup.{m}" for m in core} <= added
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctx", "7"],
+    ["member", '{"x0": "5", "x": {}}'],
+    ["purify", '[{"x0": "0", "x": {"1": "2"}}]'],
+    ["enum", "rat", "--from", "1", "--to", "4"],
+    ["--version"],
+])
+def test_core_commands_load_neither_certificates_nor_checks(argv):
+    loaded = cli_imports(*argv)
+    assert "padicgroup.group" in loaded
+    assert not loaded & DEFERRED
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", '{"x0": "-1", "x": {"1": "-1"}}', "--prime", "2"],
+    ["certify", '[{"x0": "1", "x": {"1": "1"}}]'],
+])
+def test_certificate_commands_skip_checks(argv):
+    loaded = cli_imports(*argv)
+    assert "padicgroup.certificates" in loaded
+    assert "padicgroup.checks" not in loaded
+
+
+def test_every_exported_name_resolves():
+    out = fresh("import padicgroup\n"
+                "missing = [n for n in padicgroup.__all__ if getattr(padicgroup, n, None) is None]\n"
+                "ns = {}\n"
+                "exec('from padicgroup import *', ns)\n"
+                "print(missing, sorted(set(padicgroup.__all__) - set(ns)))")
+    assert out == "[] []\n"
+
+
+def test_lazy_names_resolve_to_the_module_attributes():
+    from padicgroup import certificates, checks
+
+    assert padicgroup.certificates is certificates
+    assert padicgroup.verify_witness is certificates.verify_witness
+    assert padicgroup.CHECKS is checks.CHECKS
+    assert padicgroup.run_check is checks.run_check
+
+
+def test_dir_lists_the_lazy_names():
+    names = dir(padicgroup)
+    assert set(padicgroup.__all__) <= set(names)
+    assert {"certificates", "checks"} <= set(names)
+    assert names == sorted(names)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        padicgroup.no_such_name
+    assert not hasattr(padicgroup, "__wrapped__")
