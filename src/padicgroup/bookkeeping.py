@@ -157,13 +157,19 @@ def enum_rat(n: int) -> Fraction:
     return (Fraction(-h, t), Fraction(-t, h), Fraction(t, h), Fraction(h, t))[segment]
 
 
-def rat_code0(q: Fraction | int) -> int:
-    """0-based position of q in the height order (inverse of enum_rat, shifted)."""
-    n, d = Fraction(q).as_integer_ratio()
+def check_rat_height(q: Fraction | int) -> tuple[int, int, int]:
+    """(numerator, denominator, height) of q, refused past RAT_HEIGHT_CAP."""
+    n, d = q.numerator, q.denominator
     h = max(abs(n), d)
     if h > RAT_HEIGHT_CAP:
         raise CapacityExceededError(
             f"rational height passed the cap of {RAT_HEIGHT_CAP}", required=h, cap=RAT_HEIGHT_CAP)
+    return n, d, h
+
+
+def rat_code0(q: Fraction | int) -> int:
+    """0-based position of q in the height order (inverse of enum_rat, shifted)."""
+    n, d, h = check_rat_height(q)
     if h == 1:
         return n + 1
     units = [t for t in range(1, h) if gcd(t, h) == 1]

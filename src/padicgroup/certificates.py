@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .arith import format_rational, int_valuation, is_prime, parse_rational, prime_factors, primes_up_to
-from .bookkeeping import FINGERPRINT, enum_qvec, partition_members, partition_vector, qvec_index
+from .bookkeeping import FINGERPRINT, check_rat_height, enum_qvec, partition_members, partition_vector, qvec_index
 from .config import DEFAULT, Config, check_prime_cap
 from .construction import build_context, condition_block
 from .errors import (
@@ -230,7 +230,7 @@ class FreenessCertificate:
         return {
             "k": self.k,
             "index": self.index,
-            "denominator_primes": prime_factors(self.lam.denominator_lcm()),
+            "denominator_primes": _denominator_primes(self.lam),
         }
 
     def to_json(self) -> dict:
@@ -284,10 +284,17 @@ def _solve_lambda(gens: list[GroupElement], k: int) -> FinVec:
     return FinVec({i: v for i, v in enumerate(t, start=1) if v != 0})
 
 
+def _denominator_primes(lam: FinVec) -> list[int]:
+    """Primes of lambda's denominators, after refusing, as qvec_index does, an entry past the height cap."""
+    for _, v in lam.items():
+        check_rat_height(v)
+    return prime_factors(lam.denominator_lcm())
+
+
 def _bad_primes(lam: FinVec, index: int, k: int, config: Config) -> list[int]:
     """Primes that are not good for (k, index, lambda): p < k, or p - 1 <= index,
     or p divides a denominator of lambda."""
-    den_primes = set(prime_factors(lam.denominator_lcm()))
+    den_primes = set(_denominator_primes(lam))
     cutoff = max(k - 1, index + 1)
     worst = max([cutoff] + list(den_primes))
     if worst > config.bad_prime_cap:

@@ -26,7 +26,8 @@ The family is built in three frozen, deterministic steps:
 window_residues computes the exact set of residues of the whole family
 on a finite window mod p^m; that finiteness makes membership decidable.
 layer_conditions decides an affine map on that set from a few of its
-integer affine combinations, without enumerating it.
+integer affine combinations, and first_failing_residue names the first
+residue it fails on, both without enumerating the set.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _hyperplane_points(ctx: PrimeContext, w: int, indices):
     """
     p = ctx.p
     pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
-    b0, slopes, _ = _pivot_slopes(ctx) if pivot is not None else (0, {}, True)
+    b0, slopes = _pivot_slopes(ctx) if pivot is not None else (0, {})
     for idx in indices:
         entries = _digit_entries(idx, p, pivot)
         if pivot is not None:
@@ -304,72 +305,101 @@ def _layer_shape(ctx: PrimeContext, w: int, m: int, config: Config) -> tuple[int
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _pivot_slopes(ctx: PrimeContext) -> tuple[int, dict[int, int], bool]:
-    """(b_0, {j: b_j != 0}, affine) of a context with a pivot.
-
-    A layer point with free digits x has the pivot entry (b_0 + sum b_j x_j)
-    mod p, where b_0 = target / vec[pivot] and b_j = -vec[j] / vec[pivot] mod
-    p.  Only coordinates j below the pivot with vec[j] != 0 mod p have b_j
-    != 0, so every window that holds the pivot has the same slopes.  The
-    entry is Z-affine in the digits on the box {0..p-1} exactly when all
-    b_j = 0, or when one b_j is nonzero and (b_j, b_0) is (1, 0) (the entry
-    is x_j) or (p-1, p-1) (it is p-1-x_j); any other slope wraps past p for
-    some digit, and then a unit step moves the entry by both b_j and b_j - p.
-    The cached dict is shared by every caller, which only reads it.
+def _pivot_slopes(ctx: PrimeContext) -> tuple[int, dict[int, int]]:
+    """(b_0, {j: b_j != 0}) of a context with a pivot: a layer point with free
+    digits x has the pivot entry (b_0 + sum b_j x_j) mod p, where b_0 =
+    target / vec[pivot] and b_j = -vec[j] / vec[pivot] mod p.  Only j below
+    the pivot with vec[j] != 0 mod p have b_j != 0, so every window that
+    holds the pivot has the same slopes.  The cached dict is shared by every
+    caller, which only reads it.
     """
     p = ctx.p
     inv = pow(ctx.vec[ctx.pivot], -1, p)
-    b0 = ctx.target * inv % p
     slopes = {j: -v * inv % p for j, v in ctx.vec.items() if j < ctx.pivot and v % p}
-    affine = not slopes or (len(slopes) == 1
-                            and (*slopes.values(), b0) in {(1, 0), (p - 1, p - 1)})
-    return b0, slopes, affine
+    return ctx.target * inv % p, slopes
+
+
+def _box_conditions(p: int, b0: int, slopes: dict[int, int], coords, piv: int) -> list:
+    """Conditions deciding f on the layer points with digits x_j in {0..p-1}
+    on coords and pivot entry (b0 + sum b_j x_j) mod p (piv = 0: none): the
+    corner, the unit steps, then p e_piv, which with them spans the hull,
+    unless the entry is Z-affine: no b_j on coords is nonzero, or one is and
+    (b_j, b0) is (1, 0) or (p-1, p-1); any other slope wraps past p.
+    """
+    conditions = [(1, 0, 0, piv, b0)] + [(1, j, 1, piv, (b0 + slopes.get(j, 0)) % p) for j in coords]
+    moving = [slopes[j] for j in coords if j in slopes]
+    if len(moving) > 1 or moving and (moving[0], b0) not in {(1, 0), (p - 1, p - 1)}:
+        conditions.append((0, 0, 0, piv, p))
+    return conditions
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def layer_conditions(ctx: PrimeContext, w: int, m: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Congruences that decide a Z-affine map on the residues mod p^m on
-    window [1, w], as tuples (c0, j, cj, piv, cp).
+    """Congruences (c0, j, cj, piv, cp) that decide a Z-affine map on the
+    residues mod p^m on window [1, w].  For a row [y_0, ..., y_w] and f(r) =
+    y_0 + <r, y>, a condition's value is c0 y_0 + cj y_j + cp y_piv (index 0:
+    no term).  f vanishes mod any N on every residue iff on their integer
+    affine hull, iff every value does.  In order:
 
-    For an integer row [y_0, y_1, ..., y_w] and f(r) = y_0 + <r, y>, the
-    value of a condition is c0 y_0 + cj y_j + cp y_piv (index 0 stands for an
-    absent term).  f vanishes mod any N on every residue iff every value
-    does, since f vanishes on a set iff on its integer affine hull, and the
-    conditions are in order:
+    * _box_conditions of the whole layer: the points q_0, q_1, q_p, ...,
+      q_{p^(free-1)} at those digit indices (c0 = 1, q = {j: cj, piv: cp}),
+      then p e_piv unless the pivot entry is affine;
+    * p^(s(j)+1) e_j for j <= min(w, kmax) (c0 = 0): vector j of a visible
+      block k is a layer point plus p^(s(k)+1) e_j, and s never decreases
+      in k, so block k = j binds.
 
-    * the layer points q_0, q_1, q_p, ..., q_{p^(free-1)} at those digit
-      indices, with c0 = 1: the value is f(q) and q is {j: cj, piv: cp};
-    * p e_piv when the pivot lies in the window and its entry is not affine
-      in the free digits (see _pivot_slopes), with c0 = 0: together with the
-      points this spans the layer's hull q_0 + {(x, y): y = sum b_j x_j mod
-      p}, while an affine entry has the points' hull already;
-    * p^(s(j)+1) e_j for j <= min(w, kmax), with c0 = 0: vector j of a
-      visible block k is a layer point plus p^(s(k)+1) e_j, and s never
-      decreases in k, so block k = j binds.
-
-    At most w + 2 + min(w, kmax) tuples; no residue is enumerated, so no
-    cap applies.  At m = 1 there is no block, and p y_piv = 0 mod N for
-    every row with m = 1 (see group), so the first failing condition is a
-    point.  It is the first failing residue of the scan: mod N the layer
-    point of digit index n = sum d_t p^t has the value f(q_0) + sum d_t
-    (f(q_{p^t}) - f(q_0)), so no index below p^t fails unless an earlier
-    point does.  The tuple is cached and shared by every caller.
+    At most w + 2 + min(w, kmax) tuples, cached and shared by every caller;
+    no residue is enumerated, so no cap applies.
     """
     p = ctx.p
     w2 = min(w, ctx.width)
     piv = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w2 else 0
-    if piv:
-        b0, slopes, affine = _pivot_slopes(ctx)
-        conditions = [(1, 0, 0, piv, b0)]
-        conditions += [(1, j, 1, piv, (b0 + slopes.get(j, 0)) % p)
-                       for j in range(1, w2 + 1) if j != piv]
-        if not affine:
-            conditions.append((0, 0, 0, piv, p))
-    else:
-        conditions = [(1, 0, 0, 0, 0)] + [(1, j, 1, 0, 0) for j in range(1, w2 + 1)]
+    b0, slopes = _pivot_slopes(ctx) if piv else (0, {})
+    conditions = _box_conditions(p, b0, slopes, [j for j in range(1, w2 + 1) if j != piv], piv)
     conditions += [(0, j, p ** (perturbation_exponent(p, j) + 1), 0, 0)
                    for j in range(1, min(w, visible_block_limit(p, m)) + 1)]
     return tuple(conditions)
+
+
+def first_failing_residue(p: int, w: int, conditions, y0: int, y: dict[int, int], n: int,
+                          config: Config = DEFAULT) -> FinVec:
+    """The first residue r in iter_window_residues order (window [1, w], mod
+    p^m) with y0 + <r, y> != 0 mod n = p^e, for a sparse integer row failing
+    layer_conditions(ctx, w, m), named from the first failing condition with
+    nothing enumerated (an empty window needs no context):
+
+    * block j: every layer point passes and s(k) never decreases, so vector
+      j of block j, truncated to w, fails first;
+    * a point, when p y_piv = 0 mod n (always at m = 1): the point of digit
+      index sum d_t p^t has f = f(q_0) + sum d_t (f(q_{p^t}) - f(q_0)) mod n;
+    * else each digit, from the one a failing step bounds, is the least whose
+      box (lower digits free) fails; digits moving neither f nor the pivot
+      entry stay 0.  A corner or step with pivot entry (c + d b_t) mod p is
+      affine in d up to its first wrap, ceil((p - c) / b_t), or, if it wraps
+      at d = 1, up to its first non-wrap, floor(c / (p - b_t)) + 1; with p
+      y_piv != 0 mod n, the least failing digit is 0, 1 or one of those.
+    """
+    at = y.get
+    c0, j, cj, piv, cp = next((c0, j, cj, piv, cp) for c0, j, cj, piv, cp in conditions
+                              if (c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % n)
+    if not c0 and j:
+        return condition_block(build_context(p, config), j).vectors[j].truncate(w)
+    if not p * at(piv, 0) % n:
+        return FinVec({i: v for i, v in ((j, cj), (piv, cp)) if i and v})
+    ctx = build_context(p, config)
+    entry, slopes = _pivot_slopes(ctx)
+    free = sorted(i for i in {*y, *slopes} if i <= (j if c0 else ctx.width) and i != piv)
+    digits = {}
+    while free:
+        t = free.pop()
+        b, yt = slopes.get(t, 0), at(t, 0)
+        starts = [entry] + [(entry + slopes.get(i, 0)) % p for i in free] if b else []
+        candidates = {0, 1, *((p - c + b - 1) // b for c in starts), *(c // (p - b) + 1 for c in starts)}
+        d = next(d for d in sorted(candidates) if d < p and any(
+            (c0 * (y0 + d * yt) + cj * at(j, 0) + cp * at(piv, 0)) % n
+            for c0, j, cj, piv, cp in _box_conditions(p, (entry + d * b) % p, slopes, free, piv)))
+        digits[t], y0, entry = d, y0 + d * yt, (entry + d * b) % p
+    return FinVec({**digits, piv: entry})
 
 
 def iter_window_residues(ctx: PrimeContext, w: int, m: int,

@@ -26,7 +26,7 @@ from . import linalg
 from .arith import int_valuation, prime_factors, primes_up_to
 from .bookkeeping import FINGERPRINT
 from .config import DEFAULT, Config
-from .construction import build_context, iter_window_residues, layer_conditions
+from .construction import build_context, first_failing_residue, layer_conditions
 from .errors import CapacityExceededError, NotInGroupError
 from .vectors import FinVec, GroupElement
 
@@ -54,25 +54,24 @@ class MembershipVerdict:
 
 
 def _conditions(g: int, e: int, p: int, w: int, lift: int, config: Config):
-    """(m, layer conditions) that decide whether each l_r(row / den) is
+    """The layer conditions that decide whether each l_r(row / den) is
     p-integral for every residue r and, with lift 1, also l_r mod p, where
     e = v_p(den) and g is the gcd of the x numerators of every row.
 
     The residues are those mod p^m on the window [1, w], where m = max(1,
-    lift + e - lowest) and lowest is the least valuation of an x numerator,
-    that of g.  Each condition value is an integer combination of
-    values den * l_r(row / den) = f(r) and conversely (see
-    construction.layer_conditions), so both the p-integrality of every
-    f(r) / p^e and the F_p span of those values are read off the conditions.
-    At m = 1 every x numerator has valuation at least e - 1 + lift, so the
-    condition p e_piv holds for every row.  An empty window has the zero
-    residue only, the condition f(0) = y_0, and needs no context.
+    lift + e - v_p(g)).  Condition values and the values den * l_r(row /
+    den) = f(r) are integer combinations of each other (layer_conditions),
+    so the p-integrality of every f(r) / p^e and the F_p span of those
+    values are read off the conditions.  At m = 1 every x numerator has
+    valuation at least e - 1 + lift, so the condition p e_piv holds for
+    every row.  An empty window has the zero residue only, the condition
+    f(0) = y_0, and needs no context.
     """
     # an all-zero x part gives m = max(1, lift)
     m = max(1, lift + e - (int_valuation(g, p) if g else e))
     if w == 0:
-        return m, ((1, 0, 0, 0, 0),)
-    return m, layer_conditions(build_context(p, config), w, m)
+        return ((1, 0, 0, 0, 0),)
+    return layer_conditions(build_context(p, config), w, m)
 
 
 def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
@@ -81,10 +80,10 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     Only primes dividing some component denominator can fail: condition
     vectors are integral, so they keep p-integral inputs p-integral.  A
     member passes every layer condition, with no residue enumerated.  On a
-    failure the first failing residue in scan order is reported: at m = 1
-    it is the failing condition's layer point; at m >= 2 the residue scan
-    finds it, under the residue cap.  The cleared x part is kept sparse, so
-    the work follows its support and not its largest index.
+    failure the first failing residue in scan order is reported, named from
+    the conditions by construction.first_failing_residue at every modulus
+    exponent, so no residue cap applies.  The cleared x part is kept sparse,
+    so the work follows its support and not its largest index.
     """
     den = e.denominator_lcm()
     primes = prime_factors(den)
@@ -96,29 +95,17 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     for p in primes:
         e_p = int_valuation(den, p)
         scale = p ** e_p
-        m, conditions = _conditions(g, e_p, p, w, 0, config)
+        conditions = _conditions(g, e_p, p, w, 0, config)
         if not any((c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % scale
                    for c0, j, cj, piv, cp in conditions):
             continue
-        if m == 1:  # only a layer point can fail, and the first is the scan's first
-            residues = [FinVec({i: v for i, v in ((j, cj), (piv, cp)) if i and v})
-                        for c0, j, cj, piv, cp in conditions if c0]
+        r = first_failing_residue(p, w, conditions, y0, x, scale, config)
+        if e.x.is_zero:
+            reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
         else:
-            residues = iter_window_residues(build_context(p, config), w, m, config)
-        for r in residues:
             num = y0 + sum(v * at(i, 0) for i, v in r.items())
-            if num % scale:
-                if e.x.is_zero:
-                    reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
-                else:
-                    reason = f"x0 + <r, x> = {Fraction(num, den)} is not {p}-integral"
-                return MembershipVerdict(
-                    member=False,
-                    failing_prime=p,
-                    failing_residue=r,
-                    reason=reason,
-                    checked_primes=tuple(primes),
-                )
+            reason = f"x0 + <r, x> = {Fraction(num, den)} is not {p}-integral"
+        return MembershipVerdict(False, p, r, reason, tuple(primes))
     return MembershipVerdict(member=True, checked_primes=tuple(primes))
 
 
@@ -187,7 +174,7 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     scale = p ** e
     echelon = linalg.EchelonModP(p, lat.dim)
     g = reduce(gcd, (v for row in lat.rows for v in row[1:]), 0)
-    _, conditions = _conditions(g, e, p, lat.ncols - 1, 1, config)
+    conditions = _conditions(g, e, p, lat.ncols - 1, 1, config)
     for c0, j, cj, piv, cp in conditions:
         values = []
         for row in lat.rows:

@@ -271,6 +271,24 @@ def test_certificate_refuses_huge_index_before_enumerating():
     assert out.reason == "certificate-incomplete: bad primes reach 1000000000001"
 
 
+def test_certificate_lambda_past_the_height_cap_is_refused_before_factoring(monkeypatch):
+    # trial division of 10^50 + 1 would not finish; certify refuses the same
+    # lambda through qvec_index
+    gens = [element(1, {1: 2})]
+    cert = certify_free(gens)
+    huge = 10 ** 50 + 1
+    data = {**cert.to_json(), "lambda": {"1": f"1/{huge}"}}
+    factored = []
+    monkeypatch.setattr(certificates, "prime_factors", lambda *args: factored.append(args))
+    with pytest.raises(CapacityExceededError) as info:
+        FreenessCertificate.from_json(data)
+    assert (str(info.value), info.value.required, info.value.cap) == (
+        "rational height passed the cap of 100000", huge, 100000)
+    out = verify_certificate(gens, dataclasses.replace(cert, lam=FinVec({1: Fraction(1, huge)})))
+    assert (out.ok, out.reason) == (False, "rational height passed the cap of 100000")
+    assert factored == []
+
+
 def test_certificate_rejects_non_positive_index():
     gens = [element(1, {1: 2})]
     cert = certify_free(gens)

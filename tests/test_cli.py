@@ -18,6 +18,12 @@ CERT_BAD_GOOD_PARAMS = json.dumps({
     **certify_free([element(1, {1: 2})]).to_json(),
     "good_params": {"k": 99, "index": -5, "denominator_primes": "junk"},
 })
+# the same certificate with lambda = 1/(10^50 + 1), past the rational height cap
+CERT_HUGE_LAMBDA = json.dumps({
+    **certify_free([element(1, {1: 2})]).to_json(),
+    "lambda": {"1": f"1/{10 ** 50 + 1}"},
+    "good_params": {"k": 1, "index": 22, "denominator_primes": [10 ** 50 + 1]},
+})
 # a witness at the prime 2^61 - 1, far past the default prime cap
 WIT_PAST_CAP = json.dumps({
     "p": 2 ** 61 - 1, "a_int": 1, "d": 1, "z": {"x0": "0", "x": {}},
@@ -52,6 +58,7 @@ EXIT_CASES = [
     (("certify", '[{"x0": "1", "x": {}}]'), 1),
     (("certify", '{"x0": "1", "x": {}}'), 2),
     (("verify-cert", '[{"x0": "1", "x": {"1": "2"}}]', CERT_BAD_GOOD_PARAMS), 2),
+    (("verify-cert", '[{"x0": "1", "x": {"1": "2"}}]', CERT_HUGE_LAMBDA), 3),
     (("purify", '[{"x0": "2", "x": {}}]'), 0),
     (("purify", '[{"x0": "0", "x": {"1": "2"}}]', "--bound", "2"), 0),
     (("purify", '[{"x0": "0", "x": {"1": "2"}}]', "--bound", "0"), 2),
@@ -62,7 +69,7 @@ EXIT_CASES = [
     (("check", "div-infinitude", "--n", "2"), 0),
     (("check", "no-such-suite"), 2),
     (("check", "m-props", "--p", "3", "--pairs", "2"), 2),
-    (("--residue-cap", "1", "member", '{"x0": "-1/4", "x": {"1": "-1/4"}}'), 3),
+    (("--residue-cap", "1", "member", '{"x0": "-1/4", "x": {"1": "-1/4"}}'), 1),
     (("--prime-cap", "100", "ctx", "1009"), 3),
     (("--prime-cap", "100", "member", '{"x0": "1/100003", "x": {}}'), 1),
     (("--prime-cap", "100", "witness", '{"x0":"1","x":{"1":"2"}}', "--prime", "10000019"), 3),
@@ -247,11 +254,19 @@ def test_malformed_json_reports_position():
 
 
 def test_capacity_error_payload():
-    code, out = run("--residue-cap", "1", "member", '{"x0": "-1/4", "x": {"1": "-1/4"}}')
+    code, out = run("--prime-cap", "100", "ctx", "1009")
     assert code == 3
     data = json.loads(out)
     assert data["error"] == "capacity-exceeded"
-    assert data["required"] == 3 and data["cap"] == 1
+    assert data["required"] == 1009 and data["cap"] == 100
+
+
+def test_certificate_lambda_past_the_height_cap_gets_the_certify_refusal():
+    code, out = run("verify-cert", '[{"x0": "1", "x": {"1": "2"}}]', CERT_HUGE_LAMBDA)
+    assert (code, json.loads(out)) == (3, {
+        "error": "capacity-exceeded", "detail": "rational height passed the cap of 100000",
+        "required": 10 ** 50 + 1, "cap": 100000, "fingerprint": FINGERPRINT})
+    assert run("certify", f'[{{"x0": "1", "x": {{"1": "{10 ** 50 + 1}"}}}}]') == (code, out)
 
 
 def test_element_argument_accepts_files(tmp_path):

@@ -537,7 +537,7 @@ def test_affine_pivot_rule_matches_the_hull_of_synthetic_layers():
                         | {piv: (b0 + sum(b * x for b, x in zip(slopes, xs))) % p})
                  for xs in itertools.product(range(p), repeat=free)]
         hull = lattice_of([q - layer[0] for q in layer], piv)
-        affine = construction._pivot_slopes(ctx)[2]
+        affine = (0, 0, 0, piv, p) not in layer_conditions(ctx, piv, 1)
         nonzero = [b for b in slopes if b]
         assert affine == (not nonzero or (len(nonzero) == 1 and (nonzero[0], b0) in {(1, 0), (p - 1, p - 1)}))
         assert affine == (len(hull) < piv), (p, b0, slopes)

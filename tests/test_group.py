@@ -77,13 +77,14 @@ def element_modulus(e: GroupElement, p: int) -> int:
     return max(1, -min([0] + [valuation(v, p) for _, v in e.x.items()]))
 
 
-def reference_membership(e: GroupElement) -> MembershipVerdict:
+def reference_membership(e: GroupElement, config=DEFAULT) -> MembershipVerdict:
     """The former membership loop: one Fraction value and one valuation per
     residue, with m = max(1, -min v_p(x)).  Kept as an oracle for the layer
     conditions."""
     primes = prime_factors(e.denominator_lcm())
     for p in primes:
-        for r in iter_window_residues(build_context(p), e.x.max_support, element_modulus(e, p)):
+        ctx = build_context(p, config)
+        for r in iter_window_residues(ctx, e.x.max_support, element_modulus(e, p), config):
             value = e.x0 + r.inner(e.x)
             if valuation(value, p) < 0:
                 if e.x.is_zero:
@@ -200,6 +201,15 @@ def test_membership_at_modulus_one_with_a_higher_power_matches_reference(p, e, w
             assert membership(x).to_json() == reference_membership(x).to_json(), x
 
 
+def refuse_residue_enumeration(monkeypatch):
+    """Make any residue enumeration fail: every one sizes its set with
+    construction._layer_shape first."""
+    def refuse(ctx, w, m, config):
+        raise AssertionError(f"residues enumerated at p = {ctx.p}, window {w}, m = {m}")
+
+    monkeypatch.setattr(construction, "_layer_shape", refuse)
+
+
 def test_membership_at_modulus_one_opens_no_residue_scan(monkeypatch):
     # the witness z_p at p = 3037 plus the integer point e2: a member on
     # window 2, whose layer is a hyperplane of 3037 points
@@ -208,15 +218,9 @@ def test_membership_at_modulus_one_opens_no_residue_scan(monkeypatch):
     z = GroupElement(F(-ctx.target, p), ctx.vec.scale(F(1, p)) + FinVec.single(2, 1))
     assert z.x.max_support == 2 and ctx.pivot <= 2
     expected = reference_membership(z).to_json()
-    opened = []
-
-    def counting(*args, **kwargs):
-        opened.append(args)
-        return iter_window_residues(*args, **kwargs)
-
-    monkeypatch.setattr(group_module, "iter_window_residues", counting)
+    refuse_residue_enumeration(monkeypatch)
     assert membership(z).to_json() == expected
-    assert expected["member"] and opened == []
+    assert expected["member"]
 
 
 def test_membership_of_a_member_ignores_the_residue_cap():
@@ -230,18 +234,17 @@ def test_membership_of_a_member_ignores_the_residue_cap():
     assert membership(z, small).member
 
 
-def test_membership_fallback_scan_keeps_the_residue_cap():
-    # a non-member on window 3 at p = 7 with m = 2 (x_2 = 1/49): its failing
-    # residue comes from the scan, 49 layer points plus 2 block vectors
+def test_membership_of_a_non_member_at_modulus_two_answers_under_the_residue_cap():
+    # a non-member on window 3 at p = 7 with m = 2 (x_2 = 1/49): its scan
+    # holds 49 layer points plus 2 block vectors, past the cap of 48, but
+    # its failing residue is named from the layer conditions
     small = DEFAULT.replace(residue_cap=48)
     z = element(F(-1, 49), {1: F(-1, 7), 2: F(1, 49), 3: 1})
-    assert not membership(z).member
-    assert membership(z).to_json() == reference_membership(z).to_json()
     with pytest.raises(CapacityExceededError) as scan:
         list(iter_window_residues(build_context(7, small), 3, 2, small))
-    with pytest.raises(CapacityExceededError) as info:
-        membership(z, small)
-    assert (str(info.value), info.value.required, info.value.cap) == (str(scan.value), 51, 48)
+    assert (scan.value.required, scan.value.cap) == (51, 48)
+    assert not membership(z, small).member
+    assert membership(z, small).to_json() == reference_membership(z).to_json()
 
 
 def test_membership_at_modulus_two_opens_no_residue_scan(monkeypatch):
@@ -250,19 +253,13 @@ def test_membership_at_modulus_two_opens_no_residue_scan(monkeypatch):
     # on window 4, whose scan holds 29^3 layer points and one block vector
     p = 29
     ctx = build_context(p)
-    assert ctx.pivot == 2 and construction._pivot_slopes(ctx)[1:] == ({}, True)
+    assert ctx.pivot == 2 and construction._pivot_slopes(ctx)[1] == {}
     b0 = construction._pivot_slopes(ctx)[0]
     z = element(F(-b0, p * p), {2: F(1, p * p), 4: 3})
     expected = reference_membership(z).to_json()
-    opened = []
-
-    def counting(*args, **kwargs):
-        opened.append(args)
-        return iter_window_residues(*args, **kwargs)
-
-    monkeypatch.setattr(group_module, "iter_window_residues", counting)
+    refuse_residue_enumeration(monkeypatch)
     assert membership(z).to_json() == expected
-    assert expected["member"] and opened == []
+    assert expected["member"]
 
 
 def test_membership_needs_the_pivot_step_where_the_pivot_is_not_affine():
@@ -271,7 +268,7 @@ def test_membership_needs_the_pivot_step_where_the_pivot_is_not_affine():
     # the condition p e_piv refuses it (at p <= 13 the blocks imply it)
     p = 73
     ctx = build_context(p)
-    assert (ctx.pivot, construction._pivot_slopes(ctx)) == (3, (71, {2: 72}, False))
+    assert (ctx.pivot, construction._pivot_slopes(ctx)) == (3, (71, {2: 72}))
     z = element(F(-71, p * p), {2: F(1, p * p), 3: F(1, p * p)})
     row = [-71, 0, 1, 1]
     failing = [c0 for c0, j, cj, piv, cp in construction.layer_conditions(ctx, 3, 2)
@@ -279,6 +276,114 @@ def test_membership_needs_the_pivot_step_where_the_pivot_is_not_affine():
     assert failing == [0]
     assert not membership(z).member
     assert membership(z).to_json() == scan_membership(z).to_json() == reference_membership(z).to_json()
+
+
+def first_failing_condition_point(z: GroupElement, p: int) -> FinVec:
+    """The layer point of z's first failing condition at p: the answer of the
+    shortcut that skips the digit descent."""
+    den = z.denominator_lcm()
+    row = [int(v * den) for v in element_row(z, z.x.max_support)]
+    m = element_modulus(z, p)
+    for c0, j, cj, piv, cp in construction.layer_conditions(build_context(p), z.x.max_support, m):
+        if (c0 * row[0] + cj * row[j] + cp * row[piv]) % p ** valuation(den, p):
+            return FinVec({i: v for i, v in ((j, cj), (piv, cp)) if i and v})
+
+
+def test_membership_names_a_failure_inside_the_layer():
+    # p = 11, m = 2, pivot 2: q_0 and the step on coordinate 1 pass, and the
+    # step on coordinate 3 (digit index 11) fails first; but p y_piv != 0
+    # mod 121, and the first failing residue has digit index 10
+    z = element(F(112, 121), {1: F(1, 121), 2: F(1, 121), 3: F(1, 11)})
+    assert first_failing_condition_point(z, 11) == FinVec({2: 9, 3: 1})
+    verdict = membership(z)
+    assert verdict.failing_residue == FinVec({1: 10, 2: 10})
+    assert verdict.to_json() == scan_membership(z).to_json() == reference_membership(z).to_json()
+
+
+def passing_step_rows(seed: int, count: int):
+    """Elements at p <= 41 with the pivot in window w <= 4 whose cleared row
+    passes q_0 and every unit step but has p y_piv != 0 mod p^e: y_0 = -b_0
+    y_piv and y_j = -(y_0 + ((b_0 + b_j) mod p) y_piv) mod p^e.  Such a row
+    fails, if at all, only where the pivot entry wraps, inside the layer."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.choice([5, 11, 13, 19, 23, 37, 41])
+        ctx = build_context(p)
+        b0, slopes = construction._pivot_slopes(ctx)
+        w, e = rng.randint(ctx.pivot, 4 if p <= 23 else 3), rng.randint(2, 3)
+        n = p ** e
+        y_piv = rng.randrange(1, p) * p ** rng.randint(0, e - 2)
+        y0 = -b0 * y_piv
+        y = {j: -(y0 + (b0 + slopes.get(j, 0)) % p * y_piv) % n for j in range(1, w + 1) if j != ctx.pivot}
+        out.append((p, element(F(y0, n), {**{j: F(v, n) for j, v in y.items()}, ctx.pivot: F(y_piv, n)})))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_membership_inside_the_layer_matches_both_oracles(seed):
+    # the shortcut that reports the first failing condition's point is wrong
+    # on many of these rows
+    big = DEFAULT.replace(residue_cap=10 ** 7)
+    shortcut_wrong = 0
+    for p, z in passing_step_rows(seed, 60):
+        expected = membership(z).to_json()
+        assert expected == scan_membership(z, big).to_json(), z
+        assert expected == reference_membership(z, big).to_json(), z
+        if not expected["member"]:
+            shortcut_wrong += first_failing_condition_point(z, p) != membership(z).failing_residue
+    assert shortcut_wrong >= 5
+
+
+def descent_by_digit_scan(z: GroupElement, p: int) -> FinVec:
+    """The layer point of least digit index whose value fails at p, found a
+    digit at a time from the top of the window, each digit the least d in
+    0, 1, ..., p - 1 whose box (lower digits free) fails by the layer lemma
+    (construction._box_conditions).  An oracle for the wrap candidates of
+    first_failing_residue on layers of about p^2 points."""
+    ctx = build_context(p)
+    den = z.denominator_lcm()
+    n = p ** valuation(den, p)
+    y = {i: int(v * den) for i, v in z.x.items()}
+    y0, piv = int(z.x0 * den), ctx.pivot
+    entry, slopes = construction._pivot_slopes(ctx)
+    free = [j for j in range(1, z.x.max_support + 1) if j != piv]
+    digits = {}
+    while free:
+        t = free.pop()
+        b = slopes.get(t, 0)
+        d = next(d for d in range(p) if any(
+            (c0 * (y0 + d * y.get(t, 0)) + cj * y.get(j, 0) + cp * y.get(q, 0)) % n
+            for c0, j, cj, q, cp in construction._box_conditions(p, (entry + d * b) % p, slopes, free, piv)))
+        digits[t] = d
+        y0, entry = y0 + d * y.get(t, 0), (entry + d * b) % p
+    return FinVec({**digits, piv: entry})
+
+
+def test_membership_digit_descent_at_a_large_prime():
+    # p = 999,931, m = 2: the least digit 83,299 is a wrap candidate, and the
+    # scan would hold about p^2 layer points, past the residue cap.  The rows
+    # after it pass q_0 and the unit steps, or fail a step by a multiple of p.
+    p = 999931
+    n = p * p
+    z = element(F(840243392253, n), {1: F(1916232, n), 2: F(159686, n), 3: F(159686, n)})
+    assert membership(z).to_json()["failing_residue"] == {"1": "83299", "3": "999921"}
+    with pytest.raises(CapacityExceededError):
+        scan_membership(z)
+    assert membership(z).failing_residue == descent_by_digit_scan(z, p)
+    ctx = build_context(p)
+    b0, slopes = construction._pivot_slopes(ctx)
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(6):
+        y_piv = rng.randrange(1, p)
+        y0 = -b0 * y_piv
+        y = [-(y0 + (b0 + slopes[j]) % p * y_piv) + p * rng.choice([0, rng.randrange(p)]) for j in (1, 2)]
+        z = element(F(y0, n), {1: F(y[0], n), 2: F(y[1], n), ctx.pivot: F(y_piv, n)})
+        verdict = membership(z)
+        assert not verdict.member and verdict.failing_residue == descent_by_digit_scan(z, p), z
+        seen.add(verdict.failing_residue[1])
+    assert seen == {1, 83299}
 
 
 @functools.lru_cache(maxsize=None)
@@ -597,15 +702,9 @@ def test_saturation_kernel_at_modulus_one_opens_no_residue_scan(monkeypatch):
     lat = RatLattice.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert modulus_exponent(lat, p) == 1
     expected = reference_saturation_kernel(lat, p)
-    opened = []
-
-    def counting(*args, **kwargs):
-        opened.append(args)
-        return iter_window_residues(*args, **kwargs)
-
-    monkeypatch.setattr(group_module, "iter_window_residues", counting)
+    refuse_residue_enumeration(monkeypatch)
     assert saturation_kernel(lat, p) == expected
-    assert expected and opened == []
+    assert expected
 
 
 def test_purify_dim4_default_cap_completes():
