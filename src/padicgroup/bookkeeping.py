@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import check_nth_prime_cap, is_prime, nth_prime, prime_index
-from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
+from .arith import check_nth_prime_cap, nth_prime, prime_index
+from .errors import CapacityExceededError, EnumerationRangeError
 from .vectors import FinVec
 
 CONVENTIONS = """\
@@ -97,6 +97,12 @@ def unpair0(z: int) -> tuple[int, int]:
     t = (isqrt(8 * z + 1) - 1) // 2
     x = z - t * (t + 1) // 2
     return x, t - x
+
+
+def _heads(bound: int) -> int:
+    """Number of heads x of the sequences coded below bound >= 1: those with
+    pair0(x, 0) + 1 < bound, that is x(x+3)/2 <= bound - 2."""
+    return (isqrt(8 * bound - 7) - 3) // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +239,6 @@ def _encode_vec(v: FinVec, scalar_code) -> int:
     return encode_seq([scalar_code(v[i]) for i in range(1, v.max_support + 1)]) + 1
 
 
-@lru_cache(maxsize=1 << 16)
 def enum_qvec(i: int) -> FinVec:
     """The i-th finitely supported rational vector (1-based, surjective)."""
     if i < 1:
@@ -265,7 +270,7 @@ def _iv_rank(c: int, cap: int) -> int:
         x, rest = unpair0(r - 1)
         ends.append(ends[rest] if rest else x == 1)
         if ends[r]:  # the heads x with pair0(x, r) + 1 < c, i.e. (x+r)(x+r+3)/2 <= c + r - 2
-            zero += (isqrt(8 * (c + r) - 7) - 3) // 2 + 1 - r
+            zero += _heads(c + r) - r
         r += 1
     return c - 1 - zero
 
@@ -296,9 +301,8 @@ def intvec_index(v: FinVec, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
 # prime partition
 
 def partition_vector(p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> FinVec:
-    """The nonzero integer vector whose class contains the prime p."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    """The nonzero integer vector whose class contains the prime p; prime_index
+    refuses a p that is not prime."""
     i, _ = unpair(prime_index(p))
     return intvec_at(i, scan_cap)
 

@@ -315,48 +315,36 @@ def _translate_rows(p: int, k: int, lam: FinVec, config: Config) -> tuple[int, l
     return d, [[d * phi[i] + s for i, s in enumerate(shift, start=1)] for phi in block.vectors]
 
 
-def _select_independent(rows: list[list[int]], k: int) -> tuple[list[int], int]:
-    """Indices of the first k rows independent of the rows before them, which
-    form a nonsingular matrix (always possible: consecutive differences are
-    strictly diagonally dominant), and its determinant.  They are the pivot
-    columns of the transpose."""
-    _, selected, det = linalg.bareiss(list(zip(*rows)), len(rows))
-    if len(selected) < k:
-        raise RuntimeError("translate truncations are rank-deficient; construction invariant violated")
-    return selected, det
+def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected=None) -> BadPrimeRecord:
+    """The record of bad prime p for the translate rows d*(phi_j + lambda).
 
-
-def _inverse_exponent(p: int, d: int, square: list[list[int]], det: int) -> int | None:
-    """max(0, -min v_p(Z^-1)) for Z = square/d, given det = det(square);
-    None when Z is singular.
-
-    Z^-1 = d * adj(square) / det, so the exponent is v_p(det) minus the
-    least valuation of a nonzero entry of adj(square), minus v_p(d), floored
-    at 0.  One Bareiss elimination of [square | I] leaves +-det * square^-1
-    = +-adj(square) in its right block.  That least valuation is at least
-    0, so no elimination is needed when v_p(det) <= v_p(d).
+    One Bareiss elimination of [A^T | I_k] serves it all, A the selected rows
+    in the given order, or all k+1 rows when selected is None.  Its pivot
+    columns then select the first k rows independent of the rows before
+    them (always possible: consecutive differences are strictly diagonally
+    dominant).  det is det M of the selected rows, and the right block is
+    +-det * (M^T)^-1 = +-adj(M)^T.  Z = M/d has Z^-1 = d * adj(M) / det, so
+    m = max(0, -min v_p(Z^-1)) is v_p(det) minus the least valuation of a
+    nonzero adjugate entry, minus v_p(d), floored at 0; that least valuation
+    is at least 0, so m = 0 when v_p(det) <= v_p(d).  m is None for a
+    singular M.  r = max(0, -min v_p(lambda)) is the exponent of p in
+    lam_den, the lcm of all of lambda's denominators, since each entry is in
+    lowest terms.
     """
-    if det == 0:
-        return None
-    v, vd = int_valuation(det, p), int_valuation(d, p)
-    if v <= vd:
-        return 0
-    k = len(square)
-    mat, _, _ = linalg.bareiss([row + [int(i == j) for j in range(k)] for i, row in enumerate(square)], k)
-    return max(0, v - min(int_valuation(a, p) for row in mat for a in row[k:] if a) - vd)
-
-
-def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected, det: int) -> BadPrimeRecord:
-    """The record of bad prime p for the translate rows d*(phi_j + lambda) at
-    the selected indices, whose matrix has determinant det; m is None when
-    they form a singular matrix.  r = max(0, -min v_p(lambda)) is the exponent
-    of p in lam_den, the lcm of all of lambda's denominators, since each
-    entry is in lowest terms."""
-    chosen = [rows[i] for i in selected]
-    m = _inverse_exponent(p, d, chosen, det)
-    r = int_valuation(lam_den, p)
-    z_rows = tuple(tuple(Fraction(a, d) for a in row) for row in chosen)
-    return BadPrimeRecord(p, tuple(selected), z_rows, m, r)
+    k = len(rows[0])
+    chosen = rows if selected is None else [rows[i] for i in selected]
+    mat, pivots, det = linalg.bareiss(
+        [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(zip(*chosen))], len(chosen))
+    if selected is None:
+        if len(pivots) < k:
+            raise RuntimeError("translate truncations are rank-deficient; construction invariant violated")
+        selected = pivots
+    m = None
+    if det:
+        v, vd = int_valuation(det, p), int_valuation(d, p)
+        m = 0 if v <= vd else max(0, v - min(int_valuation(a, p) for row in mat for a in row[-k:] if a) - vd)
+    z_rows = tuple(tuple(Fraction(a, d) for a in rows[i]) for i in selected)
+    return BadPrimeRecord(p, tuple(selected), z_rows, m, int_valuation(lam_den, p))
 
 
 def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
@@ -375,12 +363,9 @@ def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
     k = max([1] + [g.x.max_support for g in gens])
     lam = _solve_lambda(gens, k)
     index = qvec_index(lam)
-    bad = []
     lam_den = lam.denominator_lcm()
-    for p in _bad_primes(lam, index, k, config):
-        d, rows = _translate_rows(p, k, lam, config)
-        selected, det = _select_independent(rows, k)
-        bad.append(_record(p, lam_den, d, rows, selected, det))
+    bad = [_record(p, lam_den, *_translate_rows(p, k, lam, config))
+           for p in _bad_primes(lam, index, k, config)]
     D = math.prod(rec.p ** (rec.m + rec.r) for rec in bad)
     basis = purify(gens, bound=D, config=config).basis
     return FreenessCertificate(lam=lam, index=index, k=k, bad=tuple(bad), D=D, basis=basis)
@@ -417,9 +402,7 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
             return CheckOutcome(False, f"record for prime {rec.p} does not select k distinct rows")
         if any(not 0 <= i <= k for i in rec.selected):
             return CheckOutcome(False, f"record for prime {rec.p} selects out-of-range rows")
-        d, rows = _translate_rows(rec.p, k, cert.lam, config)
-        *_, det = linalg.bareiss([rows[i] for i in rec.selected], k)
-        expected = _record(rec.p, lam_den, d, rows, rec.selected, det)
+        expected = _record(rec.p, lam_den, *_translate_rows(rec.p, k, cert.lam, config), rec.selected)
         if rec.z_rows != expected.z_rows:
             return CheckOutcome(False, f"stored matrix for prime {rec.p} does not match the translates")
         if expected.m is None:

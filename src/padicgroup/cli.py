@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 
 from . import __version__
 from .arith import check_nth_prime_cap, format_rational, nth_prime

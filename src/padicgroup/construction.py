@@ -37,10 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import is_prime
-from .bookkeeping import FINGERPRINT, _rat_block, partition_vector
+from .bookkeeping import FINGERPRINT, _heads, _rat_block, partition_vector
 from .config import DEFAULT, Config, check_prime_cap
-from .errors import CapacityExceededError, EnumerationRangeError, NotPrimeError
+from .errors import CapacityExceededError, EnumerationRangeError
 from .vectors import FinVec
 
 # entries kept by each of the context and block caches
@@ -71,12 +70,6 @@ class PrimeContext:
             "a": self.target,
             "fingerprint": FINGERPRINT,
         }
-
-
-def _heads(bound: int) -> int:
-    """Number of heads x of the sequences coded below bound >= 1: those with
-    pair0(x, 0) + 1 < bound, that is x(x+3)/2 <= bound - 2."""
-    return (isqrt(8 * bound - 7) - 3) // 2 + 1
 
 
 def _forbidden_residues(p: int, vec: FinVec) -> set[int]:
@@ -154,8 +147,6 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
       them at s = 1 and at most p - 2 in all.
     """
     check_prime_cap(p, config)
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
     vec = partition_vector(p, scan_cap=config.scan_cap)
     width = 1 + max(p, vec.max_support)
     pivot = max((i for i, v in vec.items() if v % p), default=None)
@@ -361,12 +352,12 @@ def layer_conditions(ctx: PrimeContext, w: int, m: int) -> tuple[tuple[int, int,
     return tuple(conditions)
 
 
-def first_failing_residue(p: int, w: int, conditions, y0: int, y: dict[int, int], n: int,
-                          config: Config = DEFAULT) -> FinVec:
+def first_failing_residue(p: int, w: int, condition: tuple[int, int, int, int, int], y0: int,
+                          y: dict[int, int], n: int, config: Config = DEFAULT) -> FinVec:
     """The first residue r in iter_window_residues order (window [1, w], mod
-    p^m) with y0 + <r, y> != 0 mod n = p^e, for a sparse integer row failing
-    layer_conditions(ctx, w, m), named from the first failing condition with
-    nothing enumerated (an empty window needs no context):
+    p^m) with y0 + <r, y> != 0 mod n = p^e, for a sparse integer row whose
+    first failing condition of layer_conditions(ctx, w, m) is condition,
+    named from it with nothing enumerated (an empty window needs no context):
 
     * block j: every layer point passes and s(k) never decreases, so vector
       j of block j, truncated to w, fails first;
@@ -380,8 +371,7 @@ def first_failing_residue(p: int, w: int, conditions, y0: int, y: dict[int, int]
       y_piv != 0 mod n, the least failing digit is 0, 1 or one of those.
     """
     at = y.get
-    c0, j, cj, piv, cp = next((c0, j, cj, piv, cp) for c0, j, cj, piv, cp in conditions
-                              if (c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % n)
+    c0, j, cj, piv, cp = condition
     if not c0 and j:
         return condition_block(build_context(p, config), j).vectors[j].truncate(w)
     if not p * at(piv, 0) % n:

@@ -81,9 +81,10 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     vectors are integral, so they keep p-integral inputs p-integral.  A
     member passes every layer condition, with no residue enumerated.  On a
     failure the first failing residue in scan order is reported, named from
-    the conditions by construction.first_failing_residue at every modulus
-    exponent, so no residue cap applies.  The cleared x part is kept sparse,
-    so the work follows its support and not its largest index.
+    the first failing condition by construction.first_failing_residue at
+    every modulus exponent, so no residue cap applies.  The cleared x part
+    is kept sparse, so the work follows its support and not its largest
+    index.
     """
     den = e.denominator_lcm()
     primes = prime_factors(den)
@@ -95,11 +96,11 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     for p in primes:
         e_p = int_valuation(den, p)
         scale = p ** e_p
-        conditions = _conditions(g, e_p, p, w, 0, config)
-        if not any((c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % scale
-                   for c0, j, cj, piv, cp in conditions):
+        failing = next(((c0, j, cj, piv, cp) for c0, j, cj, piv, cp in _conditions(g, e_p, p, w, 0, config)
+                        if (c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % scale), None)
+        if failing is None:
             continue
-        r = first_failing_residue(p, w, conditions, y0, x, scale, config)
+        r = first_failing_residue(p, w, failing, y0, x, scale, config)
         if e.x.is_zero:
             reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
         else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicgroup import certificates, linalg
-from padicgroup.arith import valuation
+from padicgroup.arith import primes_up_to, valuation
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.certificates import (
     BadPrimeRecord,
@@ -402,7 +402,7 @@ def _integer_exponent(z, p, extra=1):
     # M = d*Z with d the lcm of Z's denominators, times an extra factor
     d = math.lcm(*(v.denominator for row in z for v in row)) * extra
     square = [[int(v * d) for v in row] for row in z]
-    return certificates._inverse_exponent(p, d, square, linalg.bareiss(square, len(z))[2])
+    return certificates._record(p, 1, d, square, list(range(len(z)))).m
 
 
 @st.composite
@@ -442,6 +442,52 @@ def test_inverse_exponent_matches_the_fraction_inverse(case):
 def test_inverse_exponent_hand_cases(z, p, extra, m):
     assert _oracle_exponent(z, p) == m
     assert _integer_exponent(z, p, extra) == m
+
+
+def _reference_record(p, lam_den, d, rows, selected=None):
+    """The record by two eliminations: the selection and det M from the
+    transpose of the rows, then m from the adjugate block of [M | I]."""
+    k = len(rows[0])
+    if selected is None:
+        _, selected, det = linalg.bareiss(list(zip(*rows)), len(rows))
+    else:
+        det = linalg.bareiss([rows[i] for i in selected], k)[2]
+    chosen = [rows[i] for i in selected]
+    m = None
+    if det:
+        mat, _, _ = linalg.bareiss([row + [int(i == j) for j in range(k)] for i, row in enumerate(chosen)], k)
+        least = min(valuation(a, p) for row in mat for a in row[k:] if a)
+        m = max(0, valuation(det, p) - least - valuation(d, p))
+    z_rows = tuple(tuple(F(a, d) for a in row) for row in chosen)
+    return BadPrimeRecord(p, tuple(selected), z_rows, m, valuation(lam_den, p))
+
+
+@st.composite
+def _translate_case(draw):
+    """A functional of support k <= 4, a prime p <= 47, its translate rows,
+    and a selection: certify's (None), a random ordered k-subset of the k+1
+    rows, or a stored selection holding one row twice (singular)."""
+    k = draw(st.integers(1, 4))
+    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+    head = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
+    lam = FinVec({i: v for i, v in enumerate(head + [draw(entry.filter(bool))], start=1) if v})
+    p = draw(st.sampled_from(primes_up_to(47)))
+    d, rows = certificates._translate_rows(p, k, lam, DEFAULT)
+    kind = draw(st.sampled_from(["certify", "permuted", "singular"]))
+    selected = None
+    if kind == "permuted":
+        selected = draw(st.permutations(range(k + 1)))[:k]
+    elif kind == "singular" and k > 1:
+        # row k + 1 copies row 0, and the selection takes both
+        rows = rows + [list(rows[0])]
+        selected = draw(st.permutations([k + 1] + list(range(k - 1))))
+    return p, lam.denominator_lcm(), d, rows, selected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_translate_case())
+def test_record_matches_the_two_elimination_reference(case):
+    assert certificates._record(*case) == _reference_record(*case)
 
 
 def test_certificate_records_with_positive_m_round_trip():

@@ -253,6 +253,13 @@ def test_malformed_json_reports_position():
     assert "line 1 column 11" in data["detail"]
 
 
+@pytest.mark.parametrize("p", ["9", "1", "0"])
+def test_ctx_of_a_non_prime_is_a_usage_error(p):
+    # the bytes, not just the exit code: one prime test, one message
+    assert run("ctx", p) == (
+        2, '{"detail": "%s is not prime", "error": "usage", "fingerprint": "v1:353ca906f3bca6fa"}\n' % p)
+
+
 def test_capacity_error_payload():
     code, out = run("--prime-cap", "100", "ctx", "1009")
     assert code == 3
