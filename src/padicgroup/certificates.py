@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .arith import format_rational, int_valuation, is_prime, parse_rational, prime_factors, primes_up_to
-from .bookkeeping import FINGERPRINT, check_rat_height, enum_qvec, partition_members, partition_vector, qvec_index
+from .bookkeeping import FINGERPRINT, check_rat_height, enum_qvec, partition_members, qvec_index
 from .config import DEFAULT, Config, check_prime_cap
 from .construction import build_context, condition_block
 from .errors import (
@@ -123,12 +123,11 @@ def divisibility_witness(e: GroupElement, p: int, config: Config = DEFAULT) -> D
     cleared = e.scale(d)
     if d % p == 0:
         raise WrongPrimeError(f"prime {p} divides the cleared denominator {d}")
-    class_vec = partition_vector(p, config.scan_cap)
-    if class_vec != cleared.x:
-        raise WrongPrimeError(
-            f"prime {p} lies in the partition class of {class_vec!r}, not of {cleared.x!r}"
-        )
     ctx = build_context(p, config)
+    if ctx.vec != cleared.x:
+        raise WrongPrimeError(
+            f"prime {p} lies in the partition class of {ctx.vec!r}, not of {cleared.x!r}"
+        )
     a_int = ctx.target
     z = GroupElement(Fraction(-a_int, p), cleared.x.scale(Fraction(1, p)))
     if not is_member(z, config):  # pragma: no cover - construction guarantees this
@@ -169,9 +168,9 @@ def verify_witness(e: GroupElement, wit: DivisibilityWitness, config: Config = D
     if wit.d % wit.p == 0:
         return CheckOutcome(False, f"prime {wit.p} divides d = {wit.d}")
     cleared = e.scale(wit.d)
-    if partition_vector(wit.p, config.scan_cap) != cleared.x:
-        return CheckOutcome(False, f"prime {wit.p} is not in the partition class of the cleared vector")
     ctx = build_context(wit.p, config)
+    if ctx.vec != cleared.x:
+        return CheckOutcome(False, f"prime {wit.p} is not in the partition class of the cleared vector")
     if wit.a_int % wit.p != ctx.target:
         return CheckOutcome(False, f"a_int = {wit.a_int} does not represent the context constant {ctx.target}")
     shift = wit.z.scale(wit.p) - cleared

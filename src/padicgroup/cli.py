@@ -3,7 +3,8 @@
 Every subcommand reads elements or generator sets as inline JSON or file
 paths, prints exactly one JSON document (the enum subcommand prints JSON
 lines), and exits 0 for affirmative results, 1 for negative ones with a
-structured reason, 2 for usage problems, and 3 when a capacity cap was hit.
+structured reason, 2 for usage problems, 3 when a capacity cap was hit,
+and 141 (128 + SIGPIPE) when the reader closed stdout early.
 The handlers that need the certificates or checks module import it
 themselves, so the other commands never load it.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 
 from . import __version__
 from .arith import check_nth_prime_cap, format_rational, nth_prime
@@ -259,8 +261,18 @@ _ERRORS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # devnull keeps the flush at exit from failing again; 141 = 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(args) -> int:
     try:
         config = load_config(
             args.config,
@@ -269,6 +281,8 @@ def main(argv=None) -> int:
             witness_prime_count=args.witness_prime_count,
         )
         return args.func(args, config)
+    except BrokenPipeError:
+        raise  # an OSError, but no usage problem: main ends quietly
     except tuple(_ERRORS) as exc:
         tag, code = next(row for cls, row in _ERRORS.items() if isinstance(exc, cls))
         out = {"error": tag, "detail": str(exc), "fingerprint": FINGERPRINT}

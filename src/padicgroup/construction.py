@@ -35,9 +35,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
-from .bookkeeping import FINGERPRINT, _heads, _rat_block, partition_vector
+from .bookkeeping import FINGERPRINT, _heads, _rat_block, decode_seq, partition_vector
 from .config import DEFAULT, Config, check_prime_cap
 from .errors import CapacityExceededError, EnumerationRangeError
 from .vectors import FinVec
@@ -72,39 +71,25 @@ class PrimeContext:
         }
 
 
-def _forbidden_residues(p: int, vec: FinVec) -> set[int]:
-    """-<v_i, vec> mod p for i in 1..p-2, walked over the sequences of at
-    most max_support entries coded below p-2 (see build_context for why
-    that is exact)."""
+def _target(p: int, vec: FinVec) -> int:
+    """The least t in 1..p-1 that no sequence of at most max_support entries
+    coded below p-2 takes as its value: the target (see build_context)."""
     if p == 2:
-        return set()  # no index in 1..p-2
+        return 1  # no index in 1..p-2
     neg = [-vec[j] % p for j in range(1, vec.max_support + 1)]
     rats = itertools.islice((q for h in itertools.count(1) for q in _rat_block(h)), _heads(p - 2))
     res = [q.numerator * pow(q.denominator, -1, p) % p for q in rats]  # in the height order
-    last = [r * neg[-1] % p for r in res]
-    if len(neg) == 1:  # the empty sequence and every one-entry sequence
-        return {0, *last}
-    forbidden = set()
-
-    def walk(level: int, total: int, bound: int) -> None:
-        # adds the values of a fixed head of `level` entries worth total,
-        # extended by every tail coded below bound of at most len(neg) - level
-        # entries
-        forbidden.add(total)
-        a = neg[level]
-        deeper = level + 2 < len(neg)
-        for x in range(_heads(bound)):
-            # tail codes r with pair0(x, r) = (x+r)(x+r+1)/2 + x <= bound - 2
-            tail = (isqrt(8 * (bound - 2 - x) + 1) - 1) // 2 - x + 1
-            t = (total + res[x] * a) % p
-            if deeper:
-                walk(level + 1, t, tail)
-            else:  # the last entry, as one flat loop
-                forbidden.add(t)
-                forbidden.update([(t + v) % p for v in last[:_heads(tail)]])
-
-    walk(0, 0, p - 2)
-    return forbidden
+    first = {}  # u -> the least head x with res[x] * neg[0] = u
+    for x, v in enumerate(res):
+        first.setdefault(v * neg[0] % p, x)
+    tails = []  # (n, V) of each tail r with n = n(r) > 0 heads and at most s - 1 entries
+    r = 0
+    while (n := _heads(p - 2 + r) - r) > 0:
+        seq = decode_seq(r)
+        if len(seq) < len(neg):
+            tails.append((n, sum(res[x] * a for x, a in zip(seq, neg[1:])) % p))
+        r += 1
+    return next(t for t in range(1, p) if all(first.get((t - v) % p, n) >= n for n, v in tails))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -137,24 +122,24 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
       relevant; a non-canonical index decodes to the zero vector and
       forbids 0, which is never a target.  So the nonzero forbidden
       residues are exactly the nonzero values of those sequences t.
-    * _forbidden_residues walks exactly those t, front to back: x::rest is
-      coded below a bound b when pair0(x, code(rest)) + 1 < b, that is when
-      x(x+3)/2 <= b - 2 (_heads) and code(rest) is at most the largest r
-      with (x+r)(x+r+1)/2 <= b - 2 - x, an isqrt.  Tail bounds only shrink,
-      so every entry x has x(x+3)/2 <= p - 4: x < sqrt(2p), and its
-      rational has height at most x + 1 < p, so one modular inverse gives
-      its residue.  The walk visits each such t once: about sqrt(2p) of
-      them at s = 1 and at most p - 2 in all.
+    * _target tests candidates against those t.  Besides the empty one (worth
+      0), each is a head x and a tail of code r with at most s - 1 entries.
+      With y = x + r, pair0(x, r) = y(y+3)/2 - r, so x::r is coded below p - 2
+      (pair0(x, r) <= p - 4) exactly when x < n(r) = _heads(p - 2 + r) - r.
+      _heads grows by at most 1 a step, so n(r) never grows, and n(r) > 0
+      needs r(r+1)/2 <= p - 4: fewer than sqrt(2p) tails.  Each entry x is
+      below sqrt(2p), its height at most x + 1 < p, so one inverse gives its
+      residue res[x].  x::r is worth res[x] neg[0] + V(r), with neg[i] =
+      -vec[i+1] mod p and V(r) the tail's value on positions 2, 3, ...; so t
+      is forbidden exactly when, for some tail, the least head x with
+      res[x] neg[0] = t - V(r) is below n(r) (neg[0] = 0 needs no special
+      case).  T candidates take O(T sqrt(2p)) lookups.
     """
     check_prime_cap(p, config)
     vec = partition_vector(p, scan_cap=config.scan_cap)
     width = 1 + max(p, vec.max_support)
     pivot = max((i for i, v in vec.items() if v % p), default=None)
-    if pivot is None:
-        target = 0
-    else:
-        forbidden = _forbidden_residues(p, vec)
-        target = next(t for t in range(1, p) if t not in forbidden)
+    target = 0 if pivot is None else _target(p, vec)
     return PrimeContext(p, vec, width, target, pivot)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicgroup import certificates, linalg
+from padicgroup import bookkeeping, certificates, linalg
 from padicgroup.arith import primes_up_to, valuation
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.certificates import (
@@ -21,6 +21,7 @@ from padicgroup.certificates import (
     verify_witness,
 )
 from padicgroup.config import DEFAULT
+from padicgroup.construction import build_context
 from padicgroup.errors import (
     CapacityExceededError,
     NoQuotientContentError,
@@ -129,7 +130,7 @@ def test_witness_primes_past_the_cap_are_refused_before_any_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work done before the cap check")
 
-    for name in ("is_member", "is_prime", "partition_vector", "build_context"):
+    for name in ("is_member", "is_prime", "build_context"):
         monkeypatch.setattr(certificates, name, refuse)
     with pytest.raises(CapacityExceededError) as info:
         divisibility_witness(e, 10000019, small)
@@ -138,6 +139,20 @@ def test_witness_primes_past_the_cap_are_refused_before_any_work(monkeypatch):
         verify_witness(e, dataclasses.replace(wit, p=2 ** 61 - 1))
     assert (info.value.required, info.value.cap) == (2 ** 61 - 1, DEFAULT.prime_cap)
 
+
+
+def test_cold_witness_paths_compute_the_class_vector_once(monkeypatch):
+    # the class vector comes from the context, which the witness needs anyway
+    e = element(-1, {1: -1})
+    calls = []
+    intvec_at = bookkeeping.intvec_at
+    monkeypatch.setattr(bookkeeping, "intvec_at", lambda *args: calls.append(args) or intvec_at(*args))
+    build_context.cache_clear()
+    wit = divisibility_witness(e, 31)
+    assert len(calls) == 1
+    build_context.cache_clear()
+    assert verify_witness(e, wit)
+    assert len(calls) == 2
 
 def test_certificate_frozen_single_vector():
     gens = [element(0, {1: 2})]

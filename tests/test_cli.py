@@ -305,6 +305,20 @@ def test_no_arguments_is_usage_error():
     assert proc.returncode == 2
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the output is far larger than a pipe buffer, so closing the pipe after
+    # one line is sure to break a later write
+    with subprocess.Popen(
+        [sys.executable, "-m", "padicgroup", "enum", "rat", "--from", "1", "--to", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["enum"] == "rat"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_config_file_with_a_bool_cap_exits_2(tmp_path):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"residue_cap": True}))

@@ -17,7 +17,7 @@ from padicgroup.config import DEFAULT
 from padicgroup.construction import (
     ConditionBlock,
     PrimeContext,
-    _forbidden_residues,
+    _target,
     build_context,
     condition_block,
     iter_window_residues,
@@ -105,16 +105,21 @@ def test_context_matches_reference_loop():
         assert build_context(p).to_json() == reference_context_json(p), p
 
 
+def least_outside(p: int, forbidden: set[int]) -> int:
+    return next(t for t in range(1, p) if t not in forbidden)
+
+
 @pytest.mark.parametrize("p", primes_up_to(500) + [1009, 3037, 10007])
 def test_forbidden_residues_match_rational_inner_products(p):
+    # the target is the least nonzero residue outside the inner-product set
     vec = partition_vector(p)
     oracle = {reduce_mod(-enum_qvec(i).inner(vec), p) for i in range(1, p - 1)}
-    assert _forbidden_residues(p, vec) - {0} == oracle - {0}
+    assert _target(p, vec) == least_outside(p, oracle)
 
 
 def decode_loop_forbidden(p: int, vec: FinVec) -> set[int]:
-    """Brute-force oracle of the walk: decode every code i-1 < p-2 and sum
-    its first max_support components against vec."""
+    """Brute-force oracle of the forbidden residues: decode every code i-1 <
+    p-2 and sum its first max_support components against vec."""
     coeffs = [vec[j] % p for j in range(1, vec.max_support + 1)]
     res = [reduce_mod(enum_rat(c + 1), p) for c in range(isqrt(2 * p) + 2)]
     forbidden = set()
@@ -129,22 +134,31 @@ def decode_loop_forbidden(p: int, vec: FinVec) -> set[int]:
     return forbidden
 
 
-def test_forbidden_walk_matches_the_decode_loop():
+def test_target_matches_the_decode_loop():
     for p in primes_up_to(3000) + [100003]:
         vec = partition_vector(p)
-        assert _forbidden_residues(p, vec) == decode_loop_forbidden(p, vec), p
+        assert _target(p, vec) == least_outside(p, decode_loop_forbidden(p, vec)), p
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(primes_up_to(5000)),
        st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=5),
        st.integers(-10**6, 10**6).filter(bool))
-def test_forbidden_walk_matches_the_decode_loop_on_deep_supports(p, head, last):
+def test_target_matches_the_decode_loop_on_deep_supports(p, head, last):
     # partition vectors of primes below 10^4 have support at most 4, so only
-    # synthetic vectors reach the walk's deeper levels
+    # synthetic vectors reach tails of four or five entries
     vec = FinVec(enumerate(head + [last], start=1))
     assert vec.max_support == len(head) + 1
-    assert _forbidden_residues(p, vec) == decode_loop_forbidden(p, vec)
+    assert _target(p, vec) == least_outside(p, decode_loop_forbidden(p, vec))
+
+
+@pytest.mark.parametrize("p, support, target", [
+    (999287, 1, 35), (999029, 2, 44), (999023, 3, 8), (999007, 4, 34), (999067, 5, 104)])
+def test_targets_near_a_million_are_frozen(p, support, target):
+    # one prime per support, pinned to the targets of the former O(p) walk
+    vec = partition_vector(p)
+    assert vec.max_support == support
+    assert _target(p, vec) == target
 
 
 def test_contexts_below_3000_match_their_golden_digest():
