@@ -304,16 +304,6 @@ def _bad_primes(lam: FinVec, index: int, k: int, config: Config) -> list[int]:
     return sorted(set(primes_up_to(cutoff)) | den_primes)
 
 
-def _translate_rows(p: int, k: int, lam: FinVec, config: Config) -> tuple[int, list[list[int]]]:
-    """d, the lcm of lambda's first k denominators, and the integer rows
-    d*(phi_j + lambda) of the k+1 translates truncated to 1..k."""
-    block = condition_block(build_context(p, config), k)
-    head = [lam[i] for i in range(1, k + 1)]
-    d = math.lcm(*(v.denominator for v in head))
-    shift = [v.numerator * (d // v.denominator) for v in head]
-    return d, [[d * phi[i] + s for i, s in enumerate(shift, start=1)] for phi in block.vectors]
-
-
 def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected=None) -> BadPrimeRecord:
     """The record of bad prime p for the translate rows d*(phi_j + lambda).
 
@@ -346,6 +336,23 @@ def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected=None) 
     return BadPrimeRecord(p, tuple(selected), z_rows, m, int_valuation(lam_den, p))
 
 
+def _records(lam: FinVec, k: int, picks, config: Config):
+    """The record of each (p, selected) pair of picks, in order (selected None:
+    certify's choice), lazily, so a verifier checks a stored record before
+    its recomputation.  d, the lcm of lambda's first k denominators, the
+    shift d*lambda_1..k and lam_den are computed once; the rows d*(phi_j +
+    lambda) come from the block on the window 1..k (see condition_block).
+    """
+    head = [lam[i] for i in range(1, k + 1)]
+    d = math.lcm(*(v.denominator for v in head))
+    shift = [v.numerator * (d // v.denominator) for v in head]
+    lam_den = lam.denominator_lcm()
+    for p, selected in picks:
+        block = condition_block(build_context(p, config), k, k)
+        rows = [[d * phi[i] + s for i, s in enumerate(shift, start=1)] for phi in block.vectors]
+        yield _record(p, lam_den, d, rows, selected)
+
+
 def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
     """Produce a freeness certificate for the subgroup generated by gens.
 
@@ -362,9 +369,7 @@ def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
     k = max([1] + [g.x.max_support for g in gens])
     lam = _solve_lambda(gens, k)
     index = qvec_index(lam)
-    lam_den = lam.denominator_lcm()
-    bad = [_record(p, lam_den, *_translate_rows(p, k, lam, config))
-           for p in _bad_primes(lam, index, k, config)]
+    bad = list(_records(lam, k, ((p, None) for p in _bad_primes(lam, index, k, config)), config))
     D = math.prod(rec.p ** (rec.m + rec.r) for rec in bad)
     basis = purify(gens, bound=D, config=config).basis
     return FreenessCertificate(lam=lam, index=index, k=k, bad=tuple(bad), D=D, basis=basis)
@@ -395,13 +400,13 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
             return CheckOutcome(False, f"generator {idx} violates x0 = <lambda, x>")
     if [rec.p for rec in cert.bad] != expected_bad:
         return CheckOutcome(False, f"bad primes {[rec.p for rec in cert.bad]} differ from {expected_bad}")
-    lam_den = cert.lam.denominator_lcm()
+    recomputed = _records(cert.lam, k, ((rec.p, rec.selected) for rec in cert.bad), config)
     for rec in cert.bad:
         if len(rec.selected) != k or len(set(rec.selected)) != k:
             return CheckOutcome(False, f"record for prime {rec.p} does not select k distinct rows")
         if any(not 0 <= i <= k for i in rec.selected):
             return CheckOutcome(False, f"record for prime {rec.p} selects out-of-range rows")
-        expected = _record(rec.p, lam_den, *_translate_rows(rec.p, k, cert.lam, config), rec.selected)
+        expected = next(recomputed)
         if rec.z_rows != expected.z_rows:
             return CheckOutcome(False, f"stored matrix for prime {rec.p} does not match the translates")
         if expected.m is None:

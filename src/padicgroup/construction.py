@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bookkeeping import FINGERPRINT, _heads, _rat_block, decode_seq, partition_vector
 from .config import DEFAULT, Config, check_prime_cap
@@ -47,13 +47,23 @@ CACHE_SIZE = 1 << 12
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Frozen construction data of one prime."""
+    """Frozen construction data of one prime.  The target is computed on
+    first read and kept outside the fields, so reading it changes neither
+    equality nor hash; a fixed_target replaces it and makes the context,
+    and its cache entries, distinct from the built one."""
 
     p: int
     vec: FinVec         # partition vector assigned to p: integral, support below width
     width: int          # vectors of the family live in (Z/p)^width
-    target: int         # required inner-product residue in 0..p-1
     pivot: int | None   # largest i with vec[i] % p != 0; None when vec vanishes mod p
+    fixed_target: int | None = None  # None: the target of build_context
+
+    @cached_property
+    def target(self) -> int:
+        """Required inner-product residue in 0..p-1 (see build_context)."""
+        if self.fixed_target is not None:
+            return self.fixed_target
+        return 0 if self.pivot is None else _target(self.p, self.vec)
 
     @property
     def relevant(self) -> range:
@@ -84,7 +94,8 @@ def _target(p: int, vec: FinVec) -> int:
         first.setdefault(v * neg[0] % p, x)
     tails = []  # (n, V) of each tail r with n = n(r) > 0 heads and at most s - 1 entries
     r = 0
-    while (n := _heads(p - 2 + r) - r) > 0:
+    # every r >= 1 codes a nonempty tail, so at s = 1 only the empty one counts
+    while (n := _heads(p - 2 + r) - r) > 0 and (r == 0 or len(neg) > 1):
         seq = decode_seq(r)
         if len(seq) < len(neg):
             tails.append((n, sum(res[x] * a for x, a in zip(seq, neg[1:])) % p))
@@ -94,7 +105,7 @@ def _target(p: int, vec: FinVec) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
-    """Deterministic context of a prime: window width, target and pivot.
+    """Deterministic context of a prime: window width, pivot and (on first read) target.
 
     The width exceeds both p and the support of the partition vector.
     An enumeration index i is relevant when i < p-1 and p divides no
@@ -139,8 +150,7 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
     vec = partition_vector(p, scan_cap=config.scan_cap)
     width = 1 + max(p, vec.max_support)
     pivot = max((i for i, v in vec.items() if v % p), default=None)
-    target = 0 if pivot is None else _target(p, vec)
-    return PrimeContext(p, vec, width, target, pivot)
+    return PrimeContext(p, vec, width, pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +174,16 @@ def level_contains(ctx: PrimeContext, v: FinVec) -> bool:
     return total % ctx.p == ctx.target
 
 
-def _digit_entries(idx: int, p: int, pivot: int | None) -> dict:
-    # base-p digits of idx on the free coordinates, smallest varying fastest:
-    # digit t sits on coordinate t + 1 below the pivot and t + 2 from it on;
-    # the digits past the last nonzero one are zero and add no entry
+def _digit_entries(idx: int, p: int, pivot: int | None, w: int) -> dict:
+    # base-p digits of idx on the free coordinates in [1, w], smallest varying
+    # fastest: digit t sits on coordinate t + 1 below the pivot and t + 2 from
+    # it on; the digits past the last nonzero one are zero and add no entry
     entries = {}
     c = 0
     while idx:
         c += 1 if c + 1 != pivot else 2
+        if c > w:
+            break
         idx, digit = divmod(idx, p)
         if digit:
             entries[c] = digit
@@ -182,17 +194,18 @@ def _hyperplane_points(ctx: PrimeContext, w: int, indices):
     """Level-set truncations to the window [1, w] at the given digit indices.
 
     Free coordinates take the base-p digits of the index (the smallest free
-    coordinate varying fastest); every index is below p^(number of free
-    coordinates), so its digits stay in the window.  When the pivot lies in
-    the window it is solved from the inner-product constraint; otherwise
-    every coordinate is free.  The pivot entry is b_0 + sum b_j x_j mod p
-    in the free digits x (see _pivot_slopes).
+    coordinate varying fastest); digits that fall past w are dropped.  When
+    the pivot lies in the window it is solved from the inner-product
+    constraint; otherwise every coordinate is free.  The pivot entry is b_0 +
+    sum b_j x_j mod p in the free digits x below it (see _pivot_slopes), so
+    each point is the truncation of the full-width point of the same index,
+    and only a window holding the pivot reads the target.
     """
     p = ctx.p
     pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
     b0, slopes = _pivot_slopes(ctx) if pivot is not None else (0, {})
     for idx in indices:
-        entries = _digit_entries(idx, p, pivot)
+        entries = _digit_entries(idx, p, pivot, w)
         if pivot is not None:
             solved = (b0 + sum(v * slopes.get(c, 0) for c, v in entries.items())) % p
             if solved:
@@ -214,7 +227,8 @@ def level_at(ctx: PrimeContext, n: int) -> FinVec:
 
 @dataclass(frozen=True)
 class ConditionBlock:
-    """k+1 integer vectors whose reductions mod p lie in the level set."""
+    """k+1 integer vectors on a window whose reductions mod p lie in the
+    level set truncated to it."""
 
     k: int
     s: int                       # perturbation exponent: p^(s+1) > k(p-1), s minimal
@@ -229,15 +243,18 @@ def perturbation_exponent(p: int, k: int) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def condition_block(ctx: PrimeContext, k: int) -> ConditionBlock:
-    """Block k of the family: stream items (k-1)(k+2)/2+1 .. k(k+3)/2.
+def condition_block(ctx: PrimeContext, k: int, w: int | None = None) -> ConditionBlock:
+    """Block k of the family: stream items (k-1)(k+2)/2+1 .. k(k+3)/2,
+    truncated to the window [1, w] (by default, one that holds the block).
 
     Stream item n lifts the level-set element 1 + ((n-1) mod level_count)
     to its {0..p-1} representative, so the stream is a round robin over
-    the whole level set.
+    the whole level set.  A window below the pivot never reads the target.
     """
     if k < 1:
         raise EnumerationRangeError("block index must be >= 1")
+    if w is None:
+        w = max(k, ctx.width)
     s = perturbation_exponent(ctx.p, k)
     start = (k - 1) * (k + 2) // 2
     indices = range(start, start + k + 1)
@@ -246,10 +263,10 @@ def condition_block(ctx: PrimeContext, k: int) -> ConditionBlock:
     if (start + k).bit_length() >= ctx.width - 1:
         count = level_count(ctx)
         indices = [i % count for i in indices]
-    lifts = list(_hyperplane_points(ctx, ctx.width, indices))
+    lifts = list(_hyperplane_points(ctx, w, indices))
     step = ctx.p ** (s + 1)
     vectors = [lifts[0]]
-    vectors += [lifts[j] + FinVec.single(j, step) for j in range(1, k + 1)]
+    vectors += [lifts[j] + FinVec.single(j, step) if j <= w else lifts[j] for j in range(1, k + 1)]
     return ConditionBlock(k=k, s=s, vectors=tuple(vectors))
 
 
@@ -358,7 +375,7 @@ def first_failing_residue(p: int, w: int, condition: tuple[int, int, int, int, i
     at = y.get
     c0, j, cj, piv, cp = condition
     if not c0 and j:
-        return condition_block(build_context(p, config), j).vectors[j].truncate(w)
+        return condition_block(build_context(p, config), j, w).vectors[j]
     if not p * at(piv, 0) % n:
         return FinVec({i: v for i, v in ((j, cj), (piv, cp)) if i and v})
     ctx = build_context(p, config)
@@ -412,9 +429,9 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
     yield from _hyperplane_points(ctx, w2, range(ctx.p ** free))
     seen = set()  # at most kmax(kmax+3)/2 entries
     for k in range(1, kmax + 1):
-        vectors = condition_block(ctx, k).vectors
+        vectors = condition_block(ctx, k, w).vectors
         for j in range(1, min(k, w) + 1):
-            vec = vectors[j].truncate(w)
+            vec = vectors[j]
             if vec not in seen:
                 seen.add(vec)
                 yield vec

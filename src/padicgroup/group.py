@@ -84,10 +84,11 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     the first failing condition by construction.first_failing_residue at
     every modulus exponent, so no residue cap applies.  The cleared x part
     is kept sparse, so the work follows its support and not its largest
-    index.
+    index.  Trial division stops at config.prime_cap: a denominator with a
+    prime factor past it is refused before any condition is checked.
     """
     den = e.denominator_lcm()
-    primes = prime_factors(den)
+    primes = prime_factors(den, config.prime_cap)
     w = e.x.max_support
     y0 = e.x0.numerator * (den // e.x0.denominator)
     x = {i: v.numerator * (den // v.denominator) for i, v in e.x.items()}

@@ -19,7 +19,7 @@ from .errors import NotPAdicIntegerError
 class FinVec:
     """Immutable sparse vector over exact scalars, indexed from 1."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_hash")
 
     def __init__(self, entries=()):
         items = entries.items() if hasattr(entries, "items") else entries
@@ -143,7 +143,13 @@ class FinVec:
         return self._entries == other._entries
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        # immutable, so the hash is computed once; contexts keyed on a FinVec
+        # hash it on every cache lookup
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(tuple(self.items())))
+            return self._hash
 
     def __repr__(self):
         body = ", ".join(f"{i}: {format_rational(v)}" for i, v in self.items())

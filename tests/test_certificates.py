@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicgroup import bookkeeping, certificates, linalg
+from padicgroup import bookkeeping, certificates, construction, linalg
 from padicgroup.arith import primes_up_to, valuation
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.certificates import (
@@ -21,7 +21,7 @@ from padicgroup.certificates import (
     verify_witness,
 )
 from padicgroup.config import DEFAULT
-from padicgroup.construction import build_context
+from padicgroup.construction import build_context, condition_block
 from padicgroup.errors import (
     CapacityExceededError,
     NoQuotientContentError,
@@ -477,32 +477,81 @@ def _reference_record(p, lam_den, d, rows, selected=None):
     return BadPrimeRecord(p, tuple(selected), z_rows, m, valuation(lam_den, p))
 
 
+def _translate_rows(p, k, lam):
+    """d, the lcm of lambda's first k denominators, and the integer rows
+    d*(phi_j + lambda) on 1..k, read from the full-width block."""
+    d = math.lcm(*(lam[i].denominator for i in range(1, k + 1)))
+    return d, [[int(d * (phi[i] + lam[i])) for i in range(1, k + 1)]
+               for phi in condition_block(build_context(p), k).vectors]
+
+
 @st.composite
 def _translate_case(draw):
-    """A functional of support k <= 4, a prime p <= 47, its translate rows,
-    and a selection: certify's (None), a random ordered k-subset of the k+1
-    rows, or a stored selection holding one row twice (singular)."""
+    """A functional of support k <= 4, a prime p <= 47, and a selection:
+    certify's (None), a random ordered k-subset of the k+1 rows, or a
+    stored selection holding one row twice (singular)."""
     k = draw(st.integers(1, 4))
     entry = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
     head = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
     lam = FinVec({i: v for i, v in enumerate(head + [draw(entry.filter(bool))], start=1) if v})
     p = draw(st.sampled_from(primes_up_to(47)))
-    d, rows = certificates._translate_rows(p, k, lam, DEFAULT)
     kind = draw(st.sampled_from(["certify", "permuted", "singular"]))
     selected = None
     if kind == "permuted":
         selected = draw(st.permutations(range(k + 1)))[:k]
     elif kind == "singular" and k > 1:
-        # row k + 1 copies row 0, and the selection takes both
-        rows = rows + [list(rows[0])]
-        selected = draw(st.permutations([k + 1] + list(range(k - 1))))
-    return p, lam.denominator_lcm(), d, rows, selected
+        selected = draw(st.permutations([0] + list(range(k - 1))))
+    return lam, k, p, selected
 
 
 @settings(max_examples=300, deadline=None)
 @given(_translate_case())
 def test_record_matches_the_two_elimination_reference(case):
-    assert certificates._record(*case) == _reference_record(*case)
+    # the kernel on the full-width rows, and the record loop on the window 1..k
+    lam, k, p, selected = case
+    d, rows = _translate_rows(p, k, lam)
+    expected = _reference_record(p, lam.denominator_lcm(), d, rows, selected)
+    assert certificates._record(p, lam.denominator_lcm(), d, rows, selected) == expected
+    assert next(certificates._records(lam, k, [(p, selected)], DEFAULT)) == expected
+
+
+def test_records_below_the_pivot_ignore_a_wrong_target(monkeypatch):
+    # a record reads the block on 1..k, so at a prime whose pivot lies past k
+    # it stays the same under any target; at pivot <= k the block moves
+    lam = {k: FinVec({i: F(-i, 7) for i in range(1, k + 1)}) for k in range(1, 6)}
+    ctxs = {}
+    monkeypatch.setattr(certificates, "build_context", lambda p, config=DEFAULT: ctxs[p])
+    below = 0
+    for p in primes_up_to(3000):
+        ctx = build_context(p)
+        wrong = [t for t in range(1, min(p, 5)) if t != ctx.target][:3]
+        for k in range(1, 6):
+            ctxs[p] = ctx
+            right = next(certificates._records(lam[k], k, [(p, None)], DEFAULT))
+            for t in wrong:
+                ctxs[p] = dataclasses.replace(ctx, fixed_target=t)
+                if ctx.pivot > k:
+                    below += 1
+                    assert next(certificates._records(lam[k], k, [(p, None)], DEFAULT)) == right, (p, k, t)
+                else:
+                    assert condition_block(ctxs[p], k, k) != condition_block(ctx, k, k), (p, k, t)
+    assert below > 1600
+
+
+def test_certify_computes_the_target_only_where_a_record_window_holds_the_pivot(monkeypatch):
+    calls = []
+    target = construction._target
+    monkeypatch.setattr(construction, "_target", lambda p, vec: calls.append(p) or target(p, vec))
+    for index, lam in [(379, ("-5/4",)), (57, ("-1", "-2")), (40, ("1", "1"))]:
+        for cache in (build_context, condition_block, construction.layer_conditions, construction._pivot_slopes):
+            cache.cache_clear()
+        calls.clear()
+        lam = [F(v) for v in lam]
+        d = math.lcm(*(v.denominator for v in lam))
+        cert = certify_free([element(v * d, {i: d}) for i, v in enumerate(lam, start=1)])
+        assert cert.index == index
+        holding = [rec.p for rec in cert.bad if build_context(rec.p).pivot <= cert.k]
+        assert sorted(calls) == holding and len(holding) < len(cert.bad), index
 
 
 def test_certificate_records_with_positive_m_round_trip():

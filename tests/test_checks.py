@@ -74,7 +74,7 @@ def test_block_props():
 def test_block_props_reports_a_forbidden_target(monkeypatch):
     # at p = 19 the residue 9 is forbidden: <-lambda_i, vec> = 9 mod 19 for a
     # relevant index i whose inner product is not an integer
-    ctx = dataclasses.replace(build_context(19), target=9)
+    ctx = dataclasses.replace(build_context(19), fixed_target=9)
     monkeypatch.setattr(checks, "build_context", lambda p, config=DEFAULT: ctx)
     report = check_block_props(19, kmax=1, samples=1)
     assert not report.passed

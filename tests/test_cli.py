@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -71,7 +72,8 @@ EXIT_CASES = [
     (("check", "m-props", "--p", "3", "--pairs", "2"), 2),
     (("--residue-cap", "1", "member", '{"x0": "-1/4", "x": {"1": "-1/4"}}'), 1),
     (("--prime-cap", "100", "ctx", "1009"), 3),
-    (("--prime-cap", "100", "member", '{"x0": "1/100003", "x": {}}'), 1),
+    # a denominator with a prime factor past the cap is refused before any condition
+    (("--prime-cap", "100", "member", '{"x0": "1/100003", "x": {}}'), 3),
     (("--prime-cap", "100", "witness", '{"x0":"1","x":{"1":"2"}}', "--prime", "10000019"), 3),
     (("verify-witness", '{"x0":"1","x":{"1":"2"}}', WIT_PAST_CAP), 3),
     (("witness", '{"x0": "0", "x": {"1": "1000000"}}'), 3),
@@ -266,6 +268,18 @@ def test_capacity_error_payload():
     data = json.loads(out)
     assert data["error"] == "capacity-exceeded"
     assert data["required"] == 1009 and data["cap"] == 100
+
+
+def test_member_refuses_a_denominator_past_the_prime_cap_quickly():
+    # 10^50 + 1 has a prime factor past the default cap: trial division
+    # stops at the cap, then refuses the cofactor
+    start = time.perf_counter()
+    code, out = run("member", '{"x0": "0", "x": {"1": "1/%d"}}' % (10 ** 50 + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and len(out.splitlines()) == 1
+    data = json.loads(out)
+    assert (data["error"], data["cap"]) == ("capacity-exceeded", 10 ** 6)
+    assert data["required"] > 10 ** 6 and (10 ** 50 + 1) % data["required"] == 0
 
 
 def test_certificate_lambda_past_the_height_cap_gets_the_certify_refusal():

@@ -60,12 +60,16 @@ def test_context_frozen_small_primes():
 
 
 def test_context_keeps_only_underived_fields():
-    ctx = build_context(5)
+    ctx = build_context.__wrapped__(5, DEFAULT)
     fields = tuple(f.name for f in dataclasses.fields(PrimeContext))
-    assert fields == ("p", "vec", "width", "target", "pivot")
-    # the generated hash and equality, over those five fields
-    assert hash(ctx) == hash((5, ctx.vec, 6, 1, 2))
-    assert ctx == PrimeContext(5, FinVec({1: -1, 2: -1}), 6, 1, 2)
+    assert fields == ("p", "vec", "width", "pivot", "fixed_target")
+    # the generated hash and equality, over those five fields, the same
+    # before and after the target is computed
+    built = PrimeContext(5, FinVec({1: -1, 2: -1}), 6, 2)
+    assert hash(ctx) == hash((5, ctx.vec, 6, 2, None)) and ctx == built
+    assert ctx.target == 1
+    assert hash(ctx) == hash((5, ctx.vec, 6, 2, None)) and ctx == built
+    assert ctx != PrimeContext(5, ctx.vec, 6, 2, fixed_target=1)
 
 
 def test_context_targets_dodge_relevant_functionals():
@@ -547,7 +551,7 @@ def test_affine_pivot_rule_matches_the_hull_of_synthetic_layers():
         free = len(slopes)
         piv = free + 1
         vec = FinVec({j: -b % p for j, b in enumerate(slopes, start=1)} | {piv: 1})
-        ctx = PrimeContext(p, vec, piv, b0, piv)
+        ctx = PrimeContext(p, vec, piv, piv, fixed_target=b0)
         layer = [FinVec({j: x for j, x in enumerate(xs, start=1)}
                         | {piv: (b0 + sum(b * x for b, x in zip(slopes, xs))) % p})
                  for xs in itertools.product(range(p), repeat=free)]
@@ -564,6 +568,21 @@ def test_affine_pivot_rule_matches_the_hull_of_synthetic_layers():
 def test_caches_are_bounded():
     assert build_context.cache_info().maxsize == 1 << 12
     assert condition_block.cache_info().maxsize == 1 << 12
+
+
+def test_blocks_on_a_window_are_truncated_full_blocks():
+    # windows up to 6 hold the pivot at some primes and miss it at others
+    kinds = set()
+    for p in primes_up_to(3000):
+        ctx = build_context(p)
+        for k in range(1, 6):
+            full = condition_block.__wrapped__(ctx, k)
+            for w in range(1, 7):
+                block = condition_block.__wrapped__(ctx, k, w)
+                assert (block.k, block.s) == (full.k, full.s)
+                assert block.vectors == tuple(v.truncate(w) for v in full.vectors), (p, k, w)
+                kinds.add(ctx.pivot <= w)
+    assert kinds == {True, False}
 
 
 def test_rebuilt_context_hits_the_block_cache():

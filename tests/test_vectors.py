@@ -90,6 +90,14 @@ def test_vectors_hashable():
     assert len({FinVec({1: 1}), FinVec({1: Fraction(2, 2)}), FinVec({2: 1})}) == 2
 
 
+def test_vector_hash_is_the_hash_of_its_items_every_time():
+    v = FinVec({7: Fraction(-1, 3), 2: 5})
+    w = FinVec([(2, Fraction(10, 2)), (7, Fraction(-1, 3)), (9, 0)])
+    assert hash(v) == hash(tuple(v.items())) == hash(((2, 5), (7, Fraction(-1, 3))))
+    assert v == w and hash(v) == hash(w) == hash(v)
+    assert hash(FinVec.zero()) == hash(())
+
+
 def test_element_arithmetic_and_helpers():
     e = element(Fraction(1, 2), {1: 1, 2: Fraction(1, 3)})
     f = element(1, {2: Fraction(2, 3)})
