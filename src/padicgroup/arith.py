@@ -35,7 +35,6 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction | int) -> str:
     """Canonical string form: sign on the numerator, denominator omitted when 1."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -97,11 +97,10 @@ def check_block_props(p: int, kmax: int = 6, samples: int = 20, seed: int = 0,
     ctx = build_context(p, config)
     rng = random.Random(seed)
     details: dict = {"p": p, "kmax": kmax, "samples": samples, "dets": {}}
-    if any(v % p for _, v in ctx.vec.items()):
-        forbidden = {reduce_mod(-enum_qvec(i).inner(ctx.vec), p) for i in ctx.relevant}
-        if ctx.target == 0 or ctx.target in forbidden:
-            details["counterexample"] = {"target": ctx.target, "forbidden": sorted(forbidden)}
-            return CheckReport("phi-props", False, details)
+    forbidden = {reduce_mod(-enum_qvec(i).inner(ctx.vec), p) for i in ctx.relevant}
+    if ctx.target == 0 or ctx.target in forbidden:
+        details["counterexample"] = {"target": ctx.target, "forbidden": sorted(forbidden)}
+        return CheckReport("phi-props", False, details)
     for k in range(1, kmax + 1):
         block = condition_block(ctx, k)
         for j, vec in enumerate(block.vectors):

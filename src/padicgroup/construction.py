@@ -47,23 +47,30 @@ CACHE_SIZE = 1 << 12
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Frozen construction data of one prime.  The target is computed on
-    first read and kept outside the fields, so reading it changes neither
-    equality nor hash; a fixed_target replaces it and makes the context,
-    and its cache entries, distinct from the built one."""
+    """Frozen construction data of one prime.  The target and the pivot
+    slopes are computed on first read and kept outside the fields, so
+    reading them changes neither equality nor hash."""
 
     p: int
-    vec: FinVec         # partition vector assigned to p: integral, support below width
-    width: int          # vectors of the family live in (Z/p)^width
-    pivot: int | None   # largest i with vec[i] % p != 0; None when vec vanishes mod p
-    fixed_target: int | None = None  # None: the target of build_context
+    vec: FinVec  # partition vector assigned to p: integral, support below width
+    width: int   # vectors of the family live in (Z/p)^width
+    pivot: int   # largest i with vec[i] % p != 0, which always exists (see build_context)
 
     @cached_property
     def target(self) -> int:
-        """Required inner-product residue in 0..p-1 (see build_context)."""
-        if self.fixed_target is not None:
-            return self.fixed_target
-        return 0 if self.pivot is None else _target(self.p, self.vec)
+        """Required inner-product residue in 1..p-1 (see build_context)."""
+        return _target(self.p, self.vec)
+
+    @cached_property
+    def slopes(self) -> tuple[int, dict[int, int]]:
+        """(b_0, {j: b_j != 0}), shared read-only: a layer point with free
+        digits x has the pivot entry (b_0 + sum b_j x_j) mod p, b_0 = target /
+        vec[pivot] and b_j = -vec[j] / vec[pivot] mod p, the same on every
+        window that holds the pivot."""
+        p = self.p
+        inv = pow(self.vec[self.pivot], -1, p)
+        slopes = {j: -v * inv % p for j, v in self.vec.items() if j < self.pivot and v % p}
+        return self.target * inv % p, slopes
 
     @property
     def relevant(self) -> range:
@@ -109,14 +116,21 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
 
     The width exceeds both p and the support of the partition vector.
     An enumeration index i is relevant when i < p-1 and p divides no
-    denominator of the i-th rational vector.  The target residue is 0
-    when the partition vector vanishes mod p; otherwise it is the
+    denominator of the i-th rational vector.  The target residue is the
     smallest nonzero residue distinct from every inner product
     <-reduced(i-th vector), reduced partition vector> over relevant i.
     At most p-2 indices are relevant, so a legal target always exists.
     Primes above config.prime_cap are refused before any work.
 
-    Both rules reduce to integer steps, without enumerating a vector:
+    The pivot always exists: each entry v of the vector of p = p_n has
+    0 < |v| < p.  The vector has rank i <= pair(i, j) = n < p.  Its code c,
+    the least of rank i, is at most 2i: changing a final entry 1 (the
+    integer 0) to 0 maps the zero codes of 2..c into the i - 1 nonzero codes
+    below c, so at most i of 1..c are zero.  An entry x of the sequence
+    coded by c - 1 has x(x+3)/2 <= c - 2, so x < 2 sqrt(i) and the integer
+    it codes has |v| <= (x+2)/2 < sqrt(i) + 1 <= p.
+
+    The target reduces to integer steps, without enumerating a vector:
 
     * Every i < p-1 is relevant.  unpair0(z - 1) = (x, rest) has x, rest
       < z, so each component code of index i is below i - 1.  Each height h
@@ -149,7 +163,7 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
     check_prime_cap(p, config)
     vec = partition_vector(p, scan_cap=config.scan_cap)
     width = 1 + max(p, vec.max_support)
-    pivot = max((i for i, v in vec.items() if v % p), default=None)
+    pivot = max(i for i, v in vec.items() if v % p)
     return PrimeContext(p, vec, width, pivot)
 
 
@@ -158,8 +172,6 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
 
 def level_count(ctx: PrimeContext) -> int:
     """Exact size of the level set (a big integer for large p)."""
-    if ctx.pivot is None:
-        return ctx.p ** ctx.width
     return ctx.p ** (ctx.width - 1)
 
 
@@ -174,10 +186,10 @@ def level_contains(ctx: PrimeContext, v: FinVec) -> bool:
     return total % ctx.p == ctx.target
 
 
-def _digit_entries(idx: int, p: int, pivot: int | None, w: int) -> dict:
+def _digit_entries(idx: int, p: int, pivot: int, w: int) -> dict:
     # base-p digits of idx on the free coordinates in [1, w], smallest varying
-    # fastest: digit t sits on coordinate t + 1 below the pivot and t + 2 from
-    # it on; the digits past the last nonzero one are zero and add no entry
+    # fastest: digit t sits on coordinate t + 1 below the pivot (0: none in the
+    # window) and t + 2 from it on; digits past the last nonzero one add no entry
     entries = {}
     c = 0
     while idx:
@@ -197,16 +209,16 @@ def _hyperplane_points(ctx: PrimeContext, w: int, indices):
     coordinate varying fastest); digits that fall past w are dropped.  When
     the pivot lies in the window it is solved from the inner-product
     constraint; otherwise every coordinate is free.  The pivot entry is b_0 +
-    sum b_j x_j mod p in the free digits x below it (see _pivot_slopes), so
-    each point is the truncation of the full-width point of the same index,
-    and only a window holding the pivot reads the target.
+    sum b_j x_j mod p in the free digits x below it (ctx.slopes), so each
+    point is the truncation of the full-width point of the same index, and
+    only a window holding the pivot reads the target.
     """
     p = ctx.p
-    pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
-    b0, slopes = _pivot_slopes(ctx) if pivot is not None else (0, {})
+    pivot = ctx.pivot if ctx.pivot <= w else 0
+    b0, slopes = ctx.slopes if pivot else (0, {})
     for idx in indices:
         entries = _digit_entries(idx, p, pivot, w)
-        if pivot is not None:
+        if pivot:
             solved = (b0 + sum(v * slopes.get(c, 0) for c, v in entries.items())) % p
             if solved:
                 entries[pivot] = solved
@@ -287,7 +299,7 @@ def _layer_shape(ctx: PrimeContext, w: int, m: int, config: Config) -> tuple[int
     residue set larger than the configured cap before any of it is built."""
     p = ctx.p
     w2 = min(w, ctx.width)
-    free = w2 - 1 if ctx.pivot is not None and ctx.pivot <= w2 else w2
+    free = w2 - (ctx.pivot <= w2)
     kmax = visible_block_limit(p, m)
     required = p ** free + kmax * (kmax + 3) // 2
     if required > config.residue_cap:
@@ -295,21 +307,6 @@ def _layer_shape(ctx: PrimeContext, w: int, m: int, config: Config) -> tuple[int
             f"residue set on window {w} mod {p}^{m} needs {required} entries",
             required=required, cap=config.residue_cap)
     return w2, free, kmax
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _pivot_slopes(ctx: PrimeContext) -> tuple[int, dict[int, int]]:
-    """(b_0, {j: b_j != 0}) of a context with a pivot: a layer point with free
-    digits x has the pivot entry (b_0 + sum b_j x_j) mod p, where b_0 =
-    target / vec[pivot] and b_j = -vec[j] / vec[pivot] mod p.  Only j below
-    the pivot with vec[j] != 0 mod p have b_j != 0, so every window that
-    holds the pivot has the same slopes.  The cached dict is shared by every
-    caller, which only reads it.
-    """
-    p = ctx.p
-    inv = pow(ctx.vec[ctx.pivot], -1, p)
-    slopes = {j: -v * inv % p for j, v in ctx.vec.items() if j < ctx.pivot and v % p}
-    return ctx.target * inv % p, slopes
 
 
 def _box_conditions(p: int, b0: int, slopes: dict[int, int], coords, piv: int) -> list:
@@ -346,8 +343,8 @@ def layer_conditions(ctx: PrimeContext, w: int, m: int) -> tuple[tuple[int, int,
     """
     p = ctx.p
     w2 = min(w, ctx.width)
-    piv = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w2 else 0
-    b0, slopes = _pivot_slopes(ctx) if piv else (0, {})
+    piv = ctx.pivot if ctx.pivot <= w2 else 0
+    b0, slopes = ctx.slopes if piv else (0, {})
     conditions = _box_conditions(p, b0, slopes, [j for j in range(1, w2 + 1) if j != piv], piv)
     conditions += [(0, j, p ** (perturbation_exponent(p, j) + 1), 0, 0)
                    for j in range(1, min(w, visible_block_limit(p, m)) + 1)]
@@ -379,7 +376,7 @@ def first_failing_residue(p: int, w: int, condition: tuple[int, int, int, int, i
     if not p * at(piv, 0) % n:
         return FinVec({i: v for i, v in ((j, cj), (piv, cp)) if i and v})
     ctx = build_context(p, config)
-    entry, slopes = _pivot_slopes(ctx)
+    entry, slopes = ctx.slopes
     free = sorted(i for i in {*y, *slopes} if i <= (j if c0 else ctx.width) and i != piv)
     digits = {}
     while free:
@@ -405,9 +402,9 @@ def iter_window_residues(ctx: PrimeContext, w: int, m: int,
       is unperturbed) reduces to a level-set truncation.  Beyond the
       construction width all lift coordinates are zero, so the window is
       clipped to min(w, width) and zero-padded; on the clipped window the
-      truncations form either all of {0..p-1}^w' (when the reduced
-      partition vector vanishes or its support leaves the window) or the
-      affine solution set of the inner-product constraint.
+      truncations form either all of {0..p-1}^w' (when the pivot leaves
+      the window) or the affine solution set of the inner-product
+      constraint.
     * visible blocks: perturbations p^(s+1) with s+1 < m survive; the
       exponent is nondecreasing in k, so visible blocks form a finite
       initial range enumerated explicitly.  Of block k only the vectors

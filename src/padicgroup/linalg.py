@@ -52,11 +52,11 @@ def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
     for c in range(ncols):
         if r == len(mat):
             break
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
+        i0 = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if i0 is None:
             continue
-        if pivot != r:
-            mat[r], mat[pivot] = mat[pivot], mat[r]
+        if i0 != r:
+            mat[r], mat[i0] = mat[i0], mat[r]
             sign = -sign
         lead, top = mat[r][c], mat[r]
         for i in range(len(mat)):
@@ -236,7 +236,9 @@ def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
     common kernel of one integer vector per free column of its reduced
     echelon form; with those vectors as the columns of K, the integer
     points x (x @ K = 0) are the identity parts of the Hermite rows of
-    [K | I] whose K part vanishes (Cohen, GTM 138, section 2.4.3).
+    [K | I] whose K part vanishes (Cohen, GTM 138, section 2.4.3).  K has
+    full column rank q, so the first q Hermite pivots lie in its columns
+    and those rows are already a Hermite basis.
     """
     mat, pivots, _ = bareiss(_clear(span_rows)[1], ncols)
     d = _last_pivot(mat, pivots)
@@ -251,7 +253,7 @@ def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
     q = len(free)
     stacked = hnf([[vec[i] for vec in complement] + [int(i == j) for j in range(ncols)]
                    for i in range(ncols)])
-    return hnf([row[q:] for row in stacked if not any(row[:q])])
+    return [row[q:] for row in stacked if not any(row[:q])]
 
 
 class RatLattice:

@@ -33,6 +33,7 @@ def test_parse_rational_rejects_garbage():
 def test_format_rational_integers_have_no_slash():
     assert format_rational(Fraction(10, 5)) == "2"
     assert format_rational(-7) == "-7"
+    assert format_rational(True) == "1"
 
 
 def test_is_prime_small_table():

@@ -346,6 +346,26 @@ def old_iv_codes() -> list[int]:
     return [c for c in range(1, 200_000) if (seq := decode_seq(c - 1)) and seq[-1] != 1]
 
 
+def test_the_least_code_of_rank_i_is_at_most_2i():
+    # changing a final entry 1 (the integer 0) to 0 maps the zero codes
+    # injectively below, so at most i of the codes up to the i-th are zero
+    codes = old_iv_codes()
+    assert len(codes) >= 100_000
+    assert all(c <= 2 * i for i, c in enumerate(codes[:100_000], start=1))
+
+
+def test_class_vectors_never_vanish_mod_their_primes():
+    # build_context takes the pivot of every prime without a default: the
+    # n-th prime p gets the vector of rank i <= n < p, whose entries have
+    # 0 < |v| < sqrt(i) + 1 <= p
+    primes = primes_up_to(200_000)
+    assert len(primes) == 17_984
+    for n, p in enumerate(primes, start=1):
+        i, _ = unpair(n)
+        entries = [v for _, v in partition_vector(p).items()]
+        assert entries and all(0 < abs(v) < p and (abs(v) - 1) ** 2 < i for v in entries), p
+
+
 def test_rational_count_matches_the_old_table():
     table, h, memo = old_rat_table(), 1, {}
     while (below := bookkeeping._rat_count(h, memo)) < len(table):

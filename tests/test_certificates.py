@@ -31,6 +31,7 @@ from padicgroup.errors import (
 )
 from padicgroup.group import is_member
 from padicgroup.vectors import FinVec, element
+from test_construction import FixedTarget
 
 F = Fraction
 
@@ -529,7 +530,7 @@ def test_records_below_the_pivot_ignore_a_wrong_target(monkeypatch):
             ctxs[p] = ctx
             right = next(certificates._records(lam[k], k, [(p, None)], DEFAULT))
             for t in wrong:
-                ctxs[p] = dataclasses.replace(ctx, fixed_target=t)
+                ctxs[p] = FixedTarget(ctx.p, ctx.vec, ctx.width, ctx.pivot, t)
                 if ctx.pivot > k:
                     below += 1
                     assert next(certificates._records(lam[k], k, [(p, None)], DEFAULT)) == right, (p, k, t)
@@ -543,7 +544,7 @@ def test_certify_computes_the_target_only_where_a_record_window_holds_the_pivot(
     target = construction._target
     monkeypatch.setattr(construction, "_target", lambda p, vec: calls.append(p) or target(p, vec))
     for index, lam in [(379, ("-5/4",)), (57, ("-1", "-2")), (40, ("1", "1"))]:
-        for cache in (build_context, condition_block, construction.layer_conditions, construction._pivot_slopes):
+        for cache in (build_context, condition_block, construction.layer_conditions):
             cache.cache_clear()
         calls.clear()
         lam = [F(v) for v in lam]

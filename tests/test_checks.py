@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -19,6 +18,7 @@ from padicgroup.checks import (
 from padicgroup.config import DEFAULT
 from padicgroup.construction import build_context, level_at, level_count
 from padicgroup.vectors import element
+from test_construction import FixedTarget
 
 
 def test_registry_names():
@@ -74,7 +74,8 @@ def test_block_props():
 def test_block_props_reports_a_forbidden_target(monkeypatch):
     # at p = 19 the residue 9 is forbidden: <-lambda_i, vec> = 9 mod 19 for a
     # relevant index i whose inner product is not an integer
-    ctx = dataclasses.replace(build_context(19), fixed_target=9)
+    built = build_context(19)
+    ctx = FixedTarget(built.p, built.vec, built.width, built.pivot, 9)
     monkeypatch.setattr(checks, "build_context", lambda p, config=DEFAULT: ctx)
     report = check_block_props(19, kmax=1, samples=1)
     assert not report.passed

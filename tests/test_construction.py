@@ -38,6 +38,15 @@ from padicgroup.linalg import det, hnf
 from padicgroup.vectors import FinVec
 
 
+@dataclasses.dataclass(frozen=True)
+class FixedTarget(PrimeContext):
+    """A context with a given target in place of the built one.  Equality
+    needs the same class, so it never equals a built context nor shares its
+    condition_block or layer_conditions cache entries."""
+
+    target: int = dataclasses.field()  # a bare annotation would default to the inherited property
+
+
 def test_context_frozen_small_primes():
     c = build_context(2)
     assert (c.p, c.width, c.target, c.pivot) == (2, 3, 1, 1)
@@ -62,14 +71,15 @@ def test_context_frozen_small_primes():
 def test_context_keeps_only_underived_fields():
     ctx = build_context.__wrapped__(5, DEFAULT)
     fields = tuple(f.name for f in dataclasses.fields(PrimeContext))
-    assert fields == ("p", "vec", "width", "pivot", "fixed_target")
-    # the generated hash and equality, over those five fields, the same
-    # before and after the target is computed
+    assert fields == ("p", "vec", "width", "pivot")
+    # the generated hash and equality, over those four fields, the same
+    # before and after the target and the slopes are computed
     built = PrimeContext(5, FinVec({1: -1, 2: -1}), 6, 2)
-    assert hash(ctx) == hash((5, ctx.vec, 6, 2, None)) and ctx == built
-    assert ctx.target == 1
-    assert hash(ctx) == hash((5, ctx.vec, 6, 2, None)) and ctx == built
-    assert ctx != PrimeContext(5, ctx.vec, 6, 2, fixed_target=1)
+    assert hash(ctx) == hash((5, ctx.vec, 6, 2)) and ctx == built
+    assert ctx.target == 1 and ctx.slopes == (4, {1: 4})
+    assert hash(ctx) == hash((5, ctx.vec, 6, 2)) and ctx == built
+    # a context of another class is distinct even with the same target
+    assert ctx != FixedTarget(5, ctx.vec, 6, 2, 1)
 
 
 def test_context_targets_dodge_relevant_functionals():
@@ -551,7 +561,7 @@ def test_affine_pivot_rule_matches_the_hull_of_synthetic_layers():
         free = len(slopes)
         piv = free + 1
         vec = FinVec({j: -b % p for j, b in enumerate(slopes, start=1)} | {piv: 1})
-        ctx = PrimeContext(p, vec, piv, piv, fixed_target=b0)
+        ctx = FixedTarget(p, vec, piv, piv, b0)
         layer = [FinVec({j: x for j, x in enumerate(xs, start=1)}
                         | {piv: (b0 + sum(b * x for b, x in zip(slopes, xs))) % p})
                  for xs in itertools.product(range(p), repeat=free)]
@@ -601,13 +611,13 @@ def test_hyperplane_points_match_the_free_coordinate_digit_expansion():
     # reference: the digits of the index over the explicit list of free
     # coordinates, all of them written out, zero digits included
     def reference(ctx, w, idx):
-        pivot = ctx.pivot if ctx.pivot is not None and ctx.pivot <= w else None
+        pivot = ctx.pivot if ctx.pivot <= w else 0
         entries = {}
         for c in (c for c in range(1, w + 1) if c != pivot):
             idx, digit = divmod(idx, ctx.p)
             if digit:
                 entries[c] = digit
-        if pivot is not None:
+        if pivot:
             partial = sum(v * ctx.vec[c] for c, v in entries.items())
             solved = (ctx.target - partial) * pow(ctx.vec[pivot], -1, ctx.p) % ctx.p
             if solved:
@@ -617,7 +627,7 @@ def test_hyperplane_points_match_the_free_coordinate_digit_expansion():
     for p in primes_up_to(50):
         ctx = build_context(p)
         # every window keeps at least two free coordinates, so each index < p^2 fits
-        windows = {3, ctx.width, max(3, (ctx.pivot or 0) + 1)}
+        windows = {3, ctx.width, max(3, ctx.pivot + 1)}
         for w in sorted(windows):
             points = list(construction._hyperplane_points(ctx, w, range(p * p)))
             assert points == [reference(ctx, w, idx) for idx in range(p * p)], (p, w)

@@ -253,8 +253,8 @@ def test_membership_at_modulus_two_opens_no_residue_scan(monkeypatch):
     # on window 4, whose scan holds 29^3 layer points and one block vector
     p = 29
     ctx = build_context(p)
-    assert ctx.pivot == 2 and construction._pivot_slopes(ctx)[1] == {}
-    b0 = construction._pivot_slopes(ctx)[0]
+    assert ctx.pivot == 2 and ctx.slopes[1] == {}
+    b0 = ctx.slopes[0]
     z = element(F(-b0, p * p), {2: F(1, p * p), 4: 3})
     expected = reference_membership(z).to_json()
     refuse_residue_enumeration(monkeypatch)
@@ -268,7 +268,7 @@ def test_membership_needs_the_pivot_step_where_the_pivot_is_not_affine():
     # the condition p e_piv refuses it (at p <= 13 the blocks imply it)
     p = 73
     ctx = build_context(p)
-    assert (ctx.pivot, construction._pivot_slopes(ctx)) == (3, (71, {2: 72}))
+    assert (ctx.pivot, ctx.slopes) == (3, (71, {2: 72}))
     z = element(F(-71, p * p), {2: F(1, p * p), 3: F(1, p * p)})
     row = [-71, 0, 1, 1]
     failing = [c0 for c0, j, cj, piv, cp in construction.layer_conditions(ctx, 3, 2)
@@ -310,7 +310,7 @@ def passing_step_rows(seed: int, count: int):
     while len(out) < count:
         p = rng.choice([5, 11, 13, 19, 23, 37, 41])
         ctx = build_context(p)
-        b0, slopes = construction._pivot_slopes(ctx)
+        b0, slopes = ctx.slopes
         w, e = rng.randint(ctx.pivot, 4 if p <= 23 else 3), rng.randint(2, 3)
         n = p ** e
         y_piv = rng.randrange(1, p) * p ** rng.randint(0, e - 2)
@@ -346,7 +346,7 @@ def descent_by_digit_scan(z: GroupElement, p: int) -> FinVec:
     n = p ** valuation(den, p)
     y = {i: int(v * den) for i, v in z.x.items()}
     y0, piv = int(z.x0 * den), ctx.pivot
-    entry, slopes = construction._pivot_slopes(ctx)
+    entry, slopes = ctx.slopes
     free = [j for j in range(1, z.x.max_support + 1) if j != piv]
     digits = {}
     while free:
@@ -372,7 +372,7 @@ def test_membership_digit_descent_at_a_large_prime():
         scan_membership(z)
     assert membership(z).failing_residue == descent_by_digit_scan(z, p)
     ctx = build_context(p)
-    b0, slopes = construction._pivot_slopes(ctx)
+    b0, slopes = ctx.slopes
     rng = random.Random(1)
     seen = set()
     for _ in range(6):

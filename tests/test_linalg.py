@@ -270,11 +270,27 @@ def test_integer_span_points_against_box_enumeration():
         for row in basis:
             assert all(isinstance(v, int) for v in row)
             assert rank(span + [list(map(F, row))], ncols) == r
-        assert hnf(basis + points) == basis
+        assert hnf(basis) == hnf(basis + points) == basis
         if all(abs(v) <= box for row in basis for v in row):
             assert hnf(points) == basis
             generated += 1
     assert generated > 40
+
+
+def test_integer_span_points_is_already_a_hermite_basis():
+    # the rows of hnf([K | I]) with a vanishing K part are returned as they
+    # are, so they must be in Hermite form for spans of every rank up to 6
+    rng = random.Random(23)
+    ranks = set()
+    for _ in range(400):
+        ncols = rng.randint(1, 6)
+        span = [[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 5))]
+        basis = integer_span_points(span, ncols)
+        assert hnf(basis) == basis, span
+        assert len(basis) == rank(span, ncols)
+        ranks.add((ncols, len(basis)))
+    assert {(6, 0), (6, 5), (5, 5), (1, 1)} <= ranks
 
 
 def _sympy_rows(mat):
