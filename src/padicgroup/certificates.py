@@ -121,9 +121,9 @@ def divisibility_witness(e: GroupElement, p: int, config: Config = DEFAULT) -> D
         raise NoQuotientContentError("element lies on the integer axis; its coset is zero")
     d = e.denominator_lcm()
     cleared = e.scale(d)
+    ctx = build_context(p, config)  # refuses a non-prime before d % p divides by it
     if d % p == 0:
         raise WrongPrimeError(f"prime {p} divides the cleared denominator {d}")
-    ctx = build_context(p, config)
     if ctx.vec != cleared.x:
         raise WrongPrimeError(
             f"prime {p} lies in the partition class of {ctx.vec!r}, not of {cleared.x!r}"
@@ -189,7 +189,7 @@ class BadPrimeRecord:
     p: int
     selected: tuple[int, ...]                       # indices into the k+1 translates
     z_rows: tuple[tuple[Fraction, ...], ...]        # the selected truncations, row-major
-    m: int | None                                   # None only when recomputed for a singular selection
+    m: int
     r: int
 
     def to_json(self) -> dict:
@@ -304,26 +304,24 @@ def _bad_primes(lam: FinVec, index: int, k: int, config: Config) -> list[int]:
     return sorted(set(primes_up_to(cutoff)) | den_primes)
 
 
-def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected=None) -> BadPrimeRecord:
-    """The record of bad prime p for the translate rows d*(phi_j + lambda).
+def _record(p: int, d: int, rows: list[list[int]], selected, ident: list[list[int]]):
+    """(selected, m) of bad prime p for the integer translate rows d*(phi_j + lambda).
 
     One Bareiss elimination of [A^T | I_k] serves it all, A the selected rows
-    in the given order, or all k+1 rows when selected is None.  Its pivot
-    columns then select the first k rows independent of the rows before
-    them (always possible: consecutive differences are strictly diagonally
-    dominant).  det is det M of the selected rows, and the right block is
-    +-det * (M^T)^-1 = +-adj(M)^T.  Z = M/d has Z^-1 = d * adj(M) / det, so
-    m = max(0, -min v_p(Z^-1)) is v_p(det) minus the least valuation of a
-    nonzero adjugate entry, minus v_p(d), floored at 0; that least valuation
-    is at least 0, so m = 0 when v_p(det) <= v_p(d).  m is None for a
-    singular M.  r = max(0, -min v_p(lambda)) is the exponent of p in
-    lam_den, the lcm of all of lambda's denominators, since each entry is in
-    lowest terms.
+    in the given order, or all k+1 rows when selected is None, and ident the
+    k x k identity rows.  Its pivot columns then select the first k rows
+    independent of the rows before them (always possible: consecutive
+    differences are strictly diagonally dominant).  det is det M of the
+    selected rows, and the right block is +-det * (M^T)^-1 = +-adj(M)^T.
+    Z = M/d has Z^-1 = d * adj(M) / det, so m = max(0, -min v_p(Z^-1)) is
+    v_p(det) minus the least valuation of a nonzero adjugate entry, minus
+    v_p(d), floored at 0; that least valuation is at least 0, so m = 0 when
+    v_p(det) <= v_p(d).  m is None for a singular M.  No Fraction is built:
+    the record stays integer until certify_free formats Z (see _records).
     """
-    k = len(rows[0])
+    k = len(ident)
     chosen = rows if selected is None else [rows[i] for i in selected]
-    mat, pivots, det = linalg.bareiss(
-        [list(col) + [int(i == j) for j in range(k)] for i, col in enumerate(zip(*chosen))], len(chosen))
+    mat, pivots, det = linalg.bareiss([[*col, *e] for col, e in zip(zip(*chosen), ident)], len(chosen))
     if selected is None:
         if len(pivots) < k:
             raise RuntimeError("translate truncations are rank-deficient; construction invariant violated")
@@ -332,25 +330,29 @@ def _record(p: int, lam_den: int, d: int, rows: list[list[int]], selected=None) 
     if det:
         v, vd = int_valuation(det, p), int_valuation(d, p)
         m = 0 if v <= vd else max(0, v - min(int_valuation(a, p) for row in mat for a in row[-k:] if a) - vd)
-    z_rows = tuple(tuple(Fraction(a, d) for a in rows[i]) for i in selected)
-    return BadPrimeRecord(p, tuple(selected), z_rows, m, int_valuation(lam_den, p))
+    return tuple(selected), m
 
 
 def _records(lam: FinVec, k: int, picks, config: Config):
-    """The record of each (p, selected) pair of picks, in order (selected None:
-    certify's choice), lazily, so a verifier checks a stored record before
-    its recomputation.  d, the lcm of lambda's first k denominators, the
-    shift d*lambda_1..k and lam_den are computed once; the rows d*(phi_j +
-    lambda) come from the block on the window 1..k (see condition_block).
+    """The record (selected, M, d, m, r) of each (p, selected) pair of picks,
+    in order (selected None: certify's choice), lazily, so a verifier checks
+    a stored record before its recomputation.  M, the selected rows d*(phi_j
+    + lambda) on the window 1..k (see condition_block) for d the lcm of
+    lambda's first k denominators, stays integer until certify_free formats
+    Z = M/d.  A Fraction is in lowest terms with a positive denominator, so a
+    stored z equals a/d exactly when z.numerator * d == a * z.denominator.
+    r = max(0, -min v_p(lambda)) is v_p(lam_den), lam_den the lcm of the
+    denominators of lambda; d, the shift, lam_den and I_k are computed once.
     """
-    head = [lam[i] for i in range(1, k + 1)]
-    d = math.lcm(*(v.denominator for v in head))
-    shift = [v.numerator * (d // v.denominator) for v in head]
+    d, (shift,) = linalg._clear([[lam[i] for i in range(1, k + 1)]])
+    shift = list(enumerate(shift, start=1))  # (i, d*lambda_i), read by every row
     lam_den = lam.denominator_lcm()
+    ident = [[int(i == j) for j in range(k)] for i in range(k)]
     for p, selected in picks:
         block = condition_block(build_context(p, config), k, k)
-        rows = [[d * phi[i] + s for i, s in enumerate(shift, start=1)] for phi in block.vectors]
-        yield _record(p, lam_den, d, rows, selected)
+        rows = [[d * phi[i] + s for i, s in shift] for phi in block.vectors]
+        selected, m = _record(p, d, rows, selected, ident)
+        yield selected, [rows[i] for i in selected], d, m, int_valuation(lam_den, p)
 
 
 def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
@@ -369,7 +371,9 @@ def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
     k = max([1] + [g.x.max_support for g in gens])
     lam = _solve_lambda(gens, k)
     index = qvec_index(lam)
-    bad = list(_records(lam, k, ((p, None) for p in _bad_primes(lam, index, k, config)), config))
+    primes = _bad_primes(lam, index, k, config)
+    bad = [BadPrimeRecord(p, selected, tuple(tuple(Fraction(a, d) for a in row) for row in rows), m, r)
+           for p, (selected, rows, d, m, r) in zip(primes, _records(lam, k, ((p, None) for p in primes), config))]
     D = math.prod(rec.p ** (rec.m + rec.r) for rec in bad)
     basis = purify(gens, bound=D, config=config).basis
     return FreenessCertificate(lam=lam, index=index, k=k, bad=tuple(bad), D=D, basis=basis)
@@ -406,15 +410,16 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
             return CheckOutcome(False, f"record for prime {rec.p} does not select k distinct rows")
         if any(not 0 <= i <= k for i in rec.selected):
             return CheckOutcome(False, f"record for prime {rec.p} selects out-of-range rows")
-        expected = next(recomputed)
-        if rec.z_rows != expected.z_rows:
+        _, rows, d, m, r = next(recomputed)
+        if [len(zs) for zs in rec.z_rows] != [k] * k or any(  # Z = rows/d, see _records
+                z.numerator * d != a * z.denominator for zs, row in zip(rec.z_rows, rows) for z, a in zip(zs, row)):
             return CheckOutcome(False, f"stored matrix for prime {rec.p} does not match the translates")
-        if expected.m is None:
+        if m is None:
             return CheckOutcome(False, f"matrix for prime {rec.p} is singular")
-        if rec.m != expected.m:
-            return CheckOutcome(False, f"record for prime {rec.p} claims m = {rec.m}, recomputed {expected.m}")
-        if rec.r != expected.r:
-            return CheckOutcome(False, f"record for prime {rec.p} claims r = {rec.r}, recomputed {expected.r}")
+        if rec.m != m:
+            return CheckOutcome(False, f"record for prime {rec.p} claims m = {rec.m}, recomputed {m}")
+        if rec.r != r:
+            return CheckOutcome(False, f"record for prime {rec.p} claims r = {rec.r}, recomputed {r}")
     if cert.D != math.prod(rec.p ** (rec.m + rec.r) for rec in cert.bad):
         return CheckOutcome(False, f"D = {cert.D} is not the product of the recorded prime powers")
     for label, elems in (("basis", cert.basis), ("generator", gens)):

@@ -11,8 +11,8 @@ The family is built in three frozen, deterministic steps:
    with the reduced partition vector of p equals the target residue.
    The target dodges finitely many forbidden values (see build_context)
    so that the freeness argument downstream can always pick its pivot.
-   The context stores the last coordinate where the reduced partition
-   vector is nonzero as its pivot: level-set points take base-p digits
+   The pivot of the context is the last coordinate where the reduced
+   partition vector is nonzero: level-set points take base-p digits
    on the other coordinates and solve the constraint there.
 2. A round-robin stream over the level set, consumed in blocks: block k
    takes the next k+1 stream items, lifted to {0..p-1} representatives.
@@ -47,14 +47,17 @@ CACHE_SIZE = 1 << 12
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Frozen construction data of one prime.  The target and the pivot
-    slopes are computed on first read and kept outside the fields, so
-    reading them changes neither equality nor hash."""
+    """Frozen construction data of one prime.  The pivot, the target and
+    the pivot slopes are computed on first read and kept outside the
+    fields, so reading them changes neither equality nor hash."""
 
     p: int
     vec: FinVec  # partition vector assigned to p: integral, support below width
     width: int   # vectors of the family live in (Z/p)^width
-    pivot: int   # largest i with vec[i] % p != 0, which always exists (see build_context)
+
+    @cached_property
+    def pivot(self) -> int:
+        return self.vec.max_support  # the largest i with vec[i] % p != 0 (see build_context)
 
     @cached_property
     def target(self) -> int:
@@ -69,7 +72,7 @@ class PrimeContext:
         window that holds the pivot."""
         p = self.p
         inv = pow(self.vec[self.pivot], -1, p)
-        slopes = {j: -v * inv % p for j, v in self.vec.items() if j < self.pivot and v % p}
+        slopes = {j: -v * inv % p for j, v in self.vec.items() if j < self.pivot}  # no v vanishes mod p
         return self.target * inv % p, slopes
 
     @property
@@ -122,7 +125,7 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
     At most p-2 indices are relevant, so a legal target always exists.
     Primes above config.prime_cap are refused before any work.
 
-    The pivot always exists: each entry v of the vector of p = p_n has
+    The pivot is vec.max_support: each entry v of the vector of p = p_n has
     0 < |v| < p.  The vector has rank i <= pair(i, j) = n < p.  Its code c,
     the least of rank i, is at most 2i: changing a final entry 1 (the
     integer 0) to 0 maps the zero codes of 2..c into the i - 1 nonzero codes
@@ -162,9 +165,7 @@ def build_context(p: int, config: Config = DEFAULT) -> PrimeContext:
     """
     check_prime_cap(p, config)
     vec = partition_vector(p, scan_cap=config.scan_cap)
-    width = 1 + max(p, vec.max_support)
-    pivot = max(i for i, v in vec.items() if v % p)
-    return PrimeContext(p, vec, width, pivot)
+    return PrimeContext(p, vec, 1 + max(p, vec.max_support))
 
 
 # ---------------------------------------------------------------------------

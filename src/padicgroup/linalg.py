@@ -46,27 +46,28 @@ def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
     else 0.
     """
     mat = [list(row) for row in rows]
+    n = len(mat)
     pivots = []
     sign, prev = 1, 1
     r = 0
     for c in range(ncols):
-        if r == len(mat):
-            break
-        i0 = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if i0 is None:
+        i0 = r  # past the last row once every row holds a pivot
+        while i0 < n and mat[i0][c] == 0:
+            i0 += 1
+        if i0 == n:
             continue
         if i0 != r:
             mat[r], mat[i0] = mat[i0], mat[r]
             sign = -sign
         lead, top = mat[r][c], mat[r]
-        for i in range(len(mat)):
+        for i in range(n):
             if i != r:
                 f = mat[i][c]
                 mat[i] = [(lead * a - f * b) // prev for a, b in zip(mat[i], top)]
         prev = lead
         pivots.append(c)
         r += 1
-    return mat, pivots, sign * prev if r == len(mat) else 0
+    return mat, pivots, sign * prev if r == n else 0
 
 
 def _last_pivot(mat: list[list[int]], pivots: list[int]) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -256,6 +257,11 @@ def test_certificate_rejects_singular_translate_matrix():
     ("m", 1, "record for prime 2 claims m = 1, recomputed 0"),
     ("r", 0, "record for prime 2 claims r = 0, recomputed 1"),
     ("z_rows", ((F(5, 2),),), "stored matrix for prime 2 does not match the translates"),
+    # Z must be 1 x 1: a longer or empty row, no row, a second row
+    ("z_rows", ((F(3, 2), F(0)),), "stored matrix for prime 2 does not match the translates"),
+    ("z_rows", ((),), "stored matrix for prime 2 does not match the translates"),
+    ("z_rows", (), "stored matrix for prime 2 does not match the translates"),
+    ("z_rows", ((F(3, 2),), (F(3, 2),)), "stored matrix for prime 2 does not match the translates"),
 ])
 def test_certificate_rejects_altered_record(field, value, reason):
     gens = [element(1, {1: 2})]
@@ -414,11 +420,18 @@ def _oracle_exponent(z, p):
     return None if inv is None else max(0, -min(valuation(v, p) for row in inv for v in row))
 
 
+def _identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
 def _integer_exponent(z, p, extra=1):
     # M = d*Z with d the lcm of Z's denominators, times an extra factor
     d = math.lcm(*(v.denominator for row in z for v in row)) * extra
     square = [[int(v * d) for v in row] for row in z]
-    return certificates._record(p, 1, d, square, list(range(len(z)))).m
+    k = len(z)
+    selected, m = certificates._record(p, d, square, list(range(k)), _identity(k))
+    assert selected == tuple(range(k))
+    return m
 
 
 @st.composite
@@ -478,6 +491,12 @@ def _reference_record(p, lam_den, d, rows, selected=None):
     return BadPrimeRecord(p, tuple(selected), z_rows, m, valuation(lam_den, p))
 
 
+def _as_record(p, record):
+    """The BadPrimeRecord of an integer record (selected, M, d, m, r), Z = M/d."""
+    selected, rows, d, m, r = record
+    return BadPrimeRecord(p, selected, tuple(tuple(F(a, d) for a in row) for row in rows), m, r)
+
+
 def _translate_rows(p, k, lam):
     """d, the lcm of lambda's first k denominators, and the integer rows
     d*(phi_j + lambda) on 1..k, read from the full-width block."""
@@ -512,8 +531,94 @@ def test_record_matches_the_two_elimination_reference(case):
     lam, k, p, selected = case
     d, rows = _translate_rows(p, k, lam)
     expected = _reference_record(p, lam.denominator_lcm(), d, rows, selected)
-    assert certificates._record(p, lam.denominator_lcm(), d, rows, selected) == expected
-    assert next(certificates._records(lam, k, [(p, selected)], DEFAULT)) == expected
+    assert certificates._record(p, d, rows, selected, _identity(k)) == (expected.selected, expected.m)
+    assert _as_record(p, next(certificates._records(lam, k, [(p, selected)], DEFAULT))) == expected
+
+
+def _fraction_record_check(cert):
+    """The record check as a Fraction comparison, the oracle of
+    verify_certificate's integer one: the reason for the first record whose
+    stored Z differs as Fraction tuples from the two-elimination reference,
+    or that is singular or claims another m or r; None when all pass."""
+    for rec in cert.bad:
+        d, rows = _translate_rows(rec.p, cert.k, cert.lam)
+        expected = _reference_record(rec.p, cert.lam.denominator_lcm(), d, rows, rec.selected)
+        if rec.z_rows != expected.z_rows:
+            return f"stored matrix for prime {rec.p} does not match the translates"
+        if expected.m is None:
+            return f"matrix for prime {rec.p} is singular"
+        if rec.m != expected.m:
+            return f"record for prime {rec.p} claims m = {rec.m}, recomputed {expected.m}"
+        if rec.r != expected.r:
+            return f"record for prime {rec.p} claims r = {rec.r}, recomputed {expected.r}"
+    return None
+
+
+# k = 1 with d = 2 and d = 4, the D = 30 pair (k = 2) and the k = 3 triple of CI
+TAMPER_GENS = [
+    (element(1, {1: 2}),),
+    (element(-5, {1: 4}),),
+    (element(-1, {1: 2}), element(-1, {2: 1})),
+    (element(2, {1: 1}), element(-1, {2: 1}), element(1, {3: 1})),
+]
+_certified = functools.cache(certify_free)
+
+
+@st.composite
+def _tampered_certificate(draw):
+    """A certificate of TAMPER_GENS with one stored Z bent: one entry's
+    numerator moved by 1, its denominator replaced, or an int put in its
+    place (an equal one when the record has an integral entry); a row one
+    entry longer or shorter; a row missing or one extra."""
+    gens = draw(st.sampled_from(TAMPER_GENS))
+    cert = _certified(gens)
+    i = draw(st.integers(0, len(cert.bad) - 1))
+    rows = [list(row) for row in cert.bad[i].z_rows]
+    kind = draw(st.sampled_from(["numerator", "denominator", "int", "long row", "short row",
+                                 "missing row", "extra row"]))
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    integral = [(r, c) for r, c in cells if rows[r][c].denominator == 1]
+    r, c = draw(st.sampled_from(integral if kind == "int" and integral else cells))
+    z = rows[r][c]
+    if kind == "numerator":
+        rows[r][c] = F(z.numerator + draw(st.sampled_from([-1, 1])), z.denominator)
+    elif kind == "denominator":
+        rows[r][c] = F(z.numerator, draw(st.integers(1, 12).filter(lambda q: q != z.denominator)))
+    elif kind == "int":
+        rows[r][c] = math.floor(z)
+    elif kind == "long row":
+        rows[r].insert(c, draw(st.builds(F, st.integers(-9, 9), st.integers(1, 4))))
+    elif kind == "short row":
+        del rows[r][c]
+    elif kind == "missing row":
+        del rows[r]
+    else:
+        rows.insert(r, list(rows[draw(st.integers(0, len(rows) - 1))]))
+    bent = dataclasses.replace(cert.bad[i], z_rows=tuple(tuple(row) for row in rows))
+    return gens, dataclasses.replace(cert, bad=cert.bad[:i] + (bent,) + cert.bad[i + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tampered_certificate())
+def test_tampered_records_get_the_verdict_of_the_fraction_comparison(case):
+    gens, cert = case
+    reason = _fraction_record_check(cert)
+    # the rest of the certificate is untouched, so a record check that
+    # passes leaves the verdict of the certificate as built: ok
+    expected = (reason is None, reason)
+    out = verify_certificate(gens, cert)
+    assert (out.ok, out.reason) == expected
+    out = verify_certificate(gens, FreenessCertificate.from_json(cert.to_json()))
+    assert (out.ok, out.reason) == expected
+
+
+def test_an_int_equal_to_a_stored_entry_passes():
+    # at p = 2 the D = 30 record holds Z = ((1/2, -1), (9/2, 0)); entries compare by value
+    gens = TAMPER_GENS[2]
+    cert = _certified(gens)
+    assert cert.bad[0].z_rows == ((F(1, 2), F(-1)), (F(9, 2), F(0)))
+    bent = dataclasses.replace(cert.bad[0], z_rows=((F(1, 2), -1), (F(9, 2), 0)))
+    assert verify_certificate(list(gens), dataclasses.replace(cert, bad=(bent,) + cert.bad[1:]))
 
 
 def test_records_below_the_pivot_ignore_a_wrong_target(monkeypatch):
@@ -530,7 +635,7 @@ def test_records_below_the_pivot_ignore_a_wrong_target(monkeypatch):
             ctxs[p] = ctx
             right = next(certificates._records(lam[k], k, [(p, None)], DEFAULT))
             for t in wrong:
-                ctxs[p] = FixedTarget(ctx.p, ctx.vec, ctx.width, ctx.pivot, t)
+                ctxs[p] = FixedTarget(ctx.p, ctx.vec, ctx.width, t)
                 if ctx.pivot > k:
                     below += 1
                     assert next(certificates._records(lam[k], k, [(p, None)], DEFAULT)) == right, (p, k, t)

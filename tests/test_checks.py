@@ -75,7 +75,7 @@ def test_block_props_reports_a_forbidden_target(monkeypatch):
     # at p = 19 the residue 9 is forbidden: <-lambda_i, vec> = 9 mod 19 for a
     # relevant index i whose inner product is not an integer
     built = build_context(19)
-    ctx = FixedTarget(built.p, built.vec, built.width, built.pivot, 9)
+    ctx = FixedTarget(built.p, built.vec, built.width, 9)
     monkeypatch.setattr(checks, "build_context", lambda p, config=DEFAULT: ctx)
     report = check_block_props(19, kmax=1, samples=1)
     assert not report.passed

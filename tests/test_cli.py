@@ -53,6 +53,9 @@ EXIT_CASES = [
     (("witness", E_MINUS, "--prime", "2"), 0),
     (("witness", E_MINUS), 0),
     (("witness", E_MINUS, "--prime", "5"), 1),
+    # a non-prime is a usage error before any division by it: 1 divides every d
+    (("witness", E_MINUS, "--prime", "0"), 2),
+    (("witness", E_MINUS, "--prime", "1"), 2),
     (("witness", '{"x0": "5", "x": {}}'), 1),
     (("witness", '{"x0": "1/2", "x": {}}'), 1),
     (("certify", '[{"x0": "1", "x": {"1": "2"}}]'), 0),

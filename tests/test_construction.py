@@ -71,15 +71,15 @@ def test_context_frozen_small_primes():
 def test_context_keeps_only_underived_fields():
     ctx = build_context.__wrapped__(5, DEFAULT)
     fields = tuple(f.name for f in dataclasses.fields(PrimeContext))
-    assert fields == ("p", "vec", "width", "pivot")
-    # the generated hash and equality, over those four fields, the same
-    # before and after the target and the slopes are computed
-    built = PrimeContext(5, FinVec({1: -1, 2: -1}), 6, 2)
-    assert hash(ctx) == hash((5, ctx.vec, 6, 2)) and ctx == built
-    assert ctx.target == 1 and ctx.slopes == (4, {1: 4})
-    assert hash(ctx) == hash((5, ctx.vec, 6, 2)) and ctx == built
+    assert fields == ("p", "vec", "width")
+    # the generated hash and equality, over those three fields, the same
+    # before and after the pivot, the target and the slopes are computed
+    built = PrimeContext(5, FinVec({1: -1, 2: -1}), 6)
+    assert hash(ctx) == hash((5, ctx.vec, 6)) and ctx == built
+    assert ctx.pivot == 2 and ctx.target == 1 and ctx.slopes == (4, {1: 4})
+    assert hash(ctx) == hash((5, ctx.vec, 6)) and ctx == built
     # a context of another class is distinct even with the same target
-    assert ctx != FixedTarget(5, ctx.vec, 6, 2, 1)
+    assert ctx != FixedTarget(5, ctx.vec, 6, 1)
 
 
 def test_context_targets_dodge_relevant_functionals():
@@ -561,7 +561,7 @@ def test_affine_pivot_rule_matches_the_hull_of_synthetic_layers():
         free = len(slopes)
         piv = free + 1
         vec = FinVec({j: -b % p for j, b in enumerate(slopes, start=1)} | {piv: 1})
-        ctx = FixedTarget(p, vec, piv, piv, b0)
+        ctx = FixedTarget(p, vec, piv, b0)
         layer = [FinVec({j: x for j, x in enumerate(xs, start=1)}
                         | {piv: (b0 + sum(b * x for b, x in zip(slopes, xs))) % p})
                  for xs in itertools.product(range(p), repeat=free)]
