@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .arith import check_nth_prime_cap, nth_prime, prime_index
 from .errors import CapacityExceededError, EnumerationRangeError
@@ -234,9 +234,15 @@ def _decode_vec(code: int, scalar) -> FinVec:
     return FinVec(enumerate(vals, start=1))
 
 
-def _encode_vec(v: FinVec, scalar_code) -> int:
-    """1-based code of v's canonical (trailing-zero-free) component list."""
-    return encode_seq([scalar_code(v[i]) for i in range(1, v.max_support + 1)]) + 1
+def _encode_vec(v: FinVec, scalar_code, cap: float = inf) -> int:
+    """1-based code of v's canonical (trailing-zero-free) component list, or of a tail
+    of it once that passes the cap, as each step maps c to pair0(x, c) + 1 > c."""
+    code = 0
+    for i in range(v.max_support, 0, -1):
+        code = pair0(scalar_code(v[i]), code) + 1
+        if code > cap:
+            break
+    return code + 1
 
 
 def enum_qvec(i: int) -> FinVec:
@@ -294,7 +300,7 @@ def intvec_index(v: FinVec, scan_cap: int = DEFAULT_SCAN_CAP) -> int:
         if Fraction(val).denominator != 1:
             raise ValueError(f"not an integer vector: {v!r}")
     # a canonical code of a nonzero vector decodes nonzero, so it counts itself
-    return _iv_rank(_encode_vec(v, int_code0), scan_cap)
+    return _iv_rank(_encode_vec(v, int_code0, scan_cap), scan_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ instead of raising, so tampered artifacts are diagnosed, not crashed on.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 
 from . import linalg
@@ -34,13 +34,15 @@ from .errors import (
     WrongPrimeError,
 )
 from .group import element_row, in_integer_axis, is_member, purify, saturation_kernel
-from .vectors import FinVec, GroupElement
+from .vectors import FinVec, GroupElement, Record
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckOutcome:
-    ok: bool
-    reason: str | None = None
+class CheckOutcome(Record):
+    _fields = __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -73,14 +75,13 @@ def _json_str(value, name: str) -> str:
     return value
 
 
-@dataclasses.dataclass(frozen=True)
-class DivisibilityWitness:
-    p: int
-    a_int: int
-    d: int
-    z: GroupElement
-    bezout: tuple[int, int]    # (a, b) with a*d + b*p = 1
-    fingerprint: str = FINGERPRINT
+class DivisibilityWitness(Record):
+    _fields = __slots__ = ("p", "a_int", "d", "z", "bezout", "fingerprint")
+
+    def __init__(self, p: int, a_int: int, d: int, z: GroupElement,
+                 bezout: tuple[int, int],  # (a, b) with a*d + b*p = 1
+                 fingerprint: str = FINGERPRINT):
+        super().__init__(p, a_int, d, z, bezout, fingerprint)
 
     def to_json(self) -> dict:
         return {
@@ -184,13 +185,18 @@ def verify_witness(e: GroupElement, wit: DivisibilityWitness, config: Config = D
     return CheckOutcome(True)
 
 
-@dataclasses.dataclass(frozen=True)
-class BadPrimeRecord:
-    p: int
-    selected: tuple[int, ...]                       # indices into the k+1 translates
-    z_rows: tuple[tuple[Fraction, ...], ...]        # the selected truncations, row-major
-    m: int
-    r: int
+class BadPrimeRecord(Record):
+    _fields = __slots__ = ("p", "selected", "z_rows", "m", "r")
+
+    def __init__(self, p: int,
+                 selected: tuple[int, ...],                 # indices into the k+1 translates
+                 z_rows: tuple[tuple[Fraction, ...], ...],  # the selected truncations, row-major
+                 m: int, r: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "selected", selected)
+        object.__setattr__(self, "z_rows", z_rows)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
 
     def to_json(self) -> dict:
         return {
@@ -214,15 +220,12 @@ class BadPrimeRecord:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class FreenessCertificate:
-    lam: FinVec
-    index: int
-    k: int
-    bad: tuple[BadPrimeRecord, ...]
-    D: int
-    basis: tuple[GroupElement, ...]
-    fingerprint: str = FINGERPRINT
+class FreenessCertificate(Record):
+    _fields = __slots__ = ("lam", "index", "k", "bad", "D", "basis", "fingerprint")
+
+    def __init__(self, lam: FinVec, index: int, k: int, bad: tuple[BadPrimeRecord, ...], D: int,
+                 basis: tuple[GroupElement, ...], fingerprint: str = FINGERPRINT):
+        super().__init__(lam, index, k, bad, D, basis, fingerprint)
 
     @property
     def good_params(self) -> dict:
@@ -377,6 +380,33 @@ def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
     D = math.prod(rec.p ** (rec.m + rec.r) for rec in bad)
     basis = purify(gens, bound=D, config=config).basis
     return FreenessCertificate(lam=lam, index=index, k=k, bad=tuple(bad), D=D, basis=basis)
+
+
+def _integers(obj):
+    """The integers of a record's JSON form, with both parts of each rational."""
+    if isinstance(obj, int):
+        yield obj
+    elif isinstance(obj, Fraction):
+        yield from (obj.numerator, obj.denominator)
+    elif isinstance(obj, Record):
+        yield from _integers(obj._values(obj))
+    elif isinstance(obj, FinVec):
+        yield from _integers(obj.items())
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _integers(item)
+
+
+def check_printable(cert: FreenessCertificate) -> None:
+    """Refuse, before formatting it, a certificate holding an integer of more decimal
+    digits than the interpreter converts to a string (0: no limit)."""
+    limit = sys.get_int_max_str_digits()
+    n = max(map(abs, _integers(cert)))
+    if limit and n >= 10 ** limit:
+        digits = int(math.log10(n)) + 1  # the float may round across a power of ten
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+        raise CapacityExceededError(f"certificate holds an integer of {digits} digits, past the limit "
+                                    "for integer string conversion", required=digits, cap=limit)
 
 
 def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT) -> CheckOutcome:

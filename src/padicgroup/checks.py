@@ -7,7 +7,6 @@ raising.  The registry keys are part of the CLI contract.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -25,25 +24,20 @@ from .construction import (
 )
 from .certificates import certify_free, divisibility_witness, verify_witness, witness_primes
 from .group import in_integer_axis, is_member, spans_disjoint
-from .vectors import FinVec, GroupElement, element
+from .vectors import FinVec, GroupElement, Record, element
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    details: dict
+class CheckReport(Record):
+    _fields = __slots__ = ("name", "passed", "details")
+
+    def __init__(self, name: str, passed: bool, details: dict):
+        super().__init__(name, passed, details)
 
     def __bool__(self) -> bool:
         return self.passed
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "fingerprint": FINGERPRINT,
-        }
+        return {**self._asdict(), "fingerprint": FINGERPRINT}
 
 
 def _spanning_scan(ctx, k: int, shift: FinVec | None, cap: int) -> int | None:

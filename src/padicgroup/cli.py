@@ -99,7 +99,7 @@ def _cmd_witness(args, config: Config) -> int:
 
 
 def _cmd_certify(args, config: Config) -> int:
-    from .certificates import certify_free
+    from .certificates import certify_free, check_printable
 
     gens = _load_gens(args.gens)
     try:
@@ -112,6 +112,7 @@ def _cmd_certify(args, config: Config) -> int:
             "fingerprint": FINGERPRINT,
         })
         return 1
+    check_printable(cert)
     _emit(cert.to_json())
     return 0
 

@@ -8,45 +8,41 @@ outputs from incompatible builds are never mixed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from .bookkeeping import FINGERPRINT
 from .errors import CapacityExceededError, FingerprintMismatchError
+from .vectors import Record
 
 
-@dataclasses.dataclass(frozen=True)
-class Config:
-    prime_cap: int = 1_000_000       # largest prime any search may touch
-    residue_cap: int = 1_000_000     # largest residue set any check may expand
-    witness_prime_count: int = 3     # divisor primes reported per witness query
-    bad_prime_cap: int = 10_000      # refuse certificates needing primes past this
-    scan_cap: int = 1_000_000        # largest integer-vector code a lookup may reach; lookups count and keep nothing
-    purify_prime_cap: int = 32       # largest prime probed when no bound is given
-    purify_round_cap: int = 64       # kernel rounds per prime
-    fingerprint: str = FINGERPRINT
+class Config(Record):
+    _fields = __slots__ = ("prime_cap", "residue_cap", "witness_prime_count", "bad_prime_cap",
+                           "scan_cap", "purify_prime_cap", "purify_round_cap", "fingerprint")
 
-    def __post_init__(self):
-        for field in dataclasses.fields(self):
-            if field.type == "int":
-                value = getattr(self, field.name)
-                if type(value) is not int or value < 1:
-                    raise ValueError(f"{field.name} must be a positive integer")
+    def __init__(self, prime_cap: int = 1_000_000,   # largest prime any search may touch
+                 residue_cap: int = 1_000_000,     # largest residue set any check may expand
+                 witness_prime_count: int = 3,     # divisor primes reported per witness query
+                 bad_prime_cap: int = 10_000,      # refuse certificates needing primes past this
+                 scan_cap: int = 1_000_000,        # largest integer-vector code a lookup may reach; lookups count and keep nothing
+                 purify_prime_cap: int = 32,       # largest prime probed when no bound is given
+                 purify_round_cap: int = 64,       # kernel rounds per prime
+                 fingerprint: str = FINGERPRINT):
+        super().__init__(prime_cap, residue_cap, witness_prime_count, bad_prime_cap,
+                         scan_cap, purify_prime_cap, purify_round_cap, fingerprint)
+        for name, value in zip(self._fields[:-1], self._values(self)):  # every field but the fingerprint
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
         if self.fingerprint != FINGERPRINT:
             raise FingerprintMismatchError(
                 f"config fingerprint {self.fingerprint!r} does not match this build's {FINGERPRINT!r}"
             )
 
-    def replace(self, **kwargs) -> "Config":
-        return dataclasses.replace(self, **kwargs)
-
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_json(cls, data: dict) -> "Config":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)

@@ -33,27 +33,29 @@ residue it fails on, both without enumerating the set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .bookkeeping import FINGERPRINT, _heads, _rat_block, decode_seq, partition_vector
 from .config import DEFAULT, Config, check_prime_cap
 from .errors import CapacityExceededError, EnumerationRangeError
-from .vectors import FinVec
+from .vectors import FinVec, Record
 
 # entries kept by each of the context and block caches
 CACHE_SIZE = 1 << 12
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(Record):
     """Frozen construction data of one prime.  The pivot, the target and
-    the pivot slopes are computed on first read and kept outside the
-    fields, so reading them changes neither equality nor hash."""
+    the pivot slopes are computed on first read and kept in ``__dict__``,
+    outside the fields, so reading them changes neither equality nor hash."""
 
-    p: int
-    vec: FinVec  # partition vector assigned to p: integral, support below width
-    width: int   # vectors of the family live in (Z/p)^width
+    _fields = ("p", "vec", "width")
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, p: int,
+                 vec: FinVec,  # partition vector assigned to p: integral, support below width
+                 width: int):  # vectors of the family live in (Z/p)^width
+        super().__init__(p, vec, width)
 
     @cached_property
     def pivot(self) -> int:
@@ -238,14 +240,16 @@ def level_at(ctx: PrimeContext, n: int) -> FinVec:
 # ---------------------------------------------------------------------------
 # blocks of lifted, perturbed vectors
 
-@dataclass(frozen=True)
-class ConditionBlock:
+class ConditionBlock(Record):
     """k+1 integer vectors on a window whose reductions mod p lie in the
     level set truncated to it."""
 
-    k: int
-    s: int                       # perturbation exponent: p^(s+1) > k(p-1), s minimal
-    vectors: tuple[FinVec, ...]  # vector 0 unperturbed; vector j carries +p^(s+1) e_j
+    _fields = __slots__ = ("k", "s", "vectors")
+
+    def __init__(self, k: int,
+                 s: int,                        # perturbation exponent: p^(s+1) > k(p-1), s minimal
+                 vectors: tuple[FinVec, ...]):  # vector 0 unperturbed; vector j carries +p^(s+1) e_j
+        super().__init__(k, s, vectors)
 
 
 def perturbation_exponent(p: int, k: int) -> int:

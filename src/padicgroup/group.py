@@ -17,7 +17,6 @@ exact; without one the search is capped and flagged.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -28,16 +27,19 @@ from .bookkeeping import FINGERPRINT
 from .config import DEFAULT, Config
 from .construction import build_context, first_failing_residue, layer_conditions
 from .errors import CapacityExceededError, NotInGroupError
-from .vectors import FinVec, GroupElement
+from .vectors import FinVec, GroupElement, Record
 
 
-@dataclasses.dataclass(frozen=True)
-class MembershipVerdict:
-    member: bool
-    failing_prime: int | None = None
-    failing_residue: FinVec | None = None
-    reason: str | None = None
-    checked_primes: tuple[int, ...] = ()
+class MembershipVerdict(Record):
+    _fields = __slots__ = ("member", "failing_prime", "failing_residue", "reason", "checked_primes")
+
+    def __init__(self, member: bool, failing_prime: int | None = None, failing_residue: FinVec | None = None,
+                 reason: str | None = None, checked_primes: tuple[int, ...] = ()):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "failing_prime", failing_prime)
+        object.__setattr__(self, "failing_residue", failing_residue)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "checked_primes", checked_primes)
 
     def __bool__(self) -> bool:
         return self.member
@@ -143,12 +145,14 @@ def spans_disjoint(gens1, gens2) -> bool:
     return r1 + r2 == linalg.rank(rows1 + rows2, k + 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class PurifyResult:
-    basis: tuple[GroupElement, ...]
-    status: str                    # "complete" | "possibly-incomplete"
-    probed: tuple[int, ...]        # primes at which saturation was attempted
-    bound: int | None
+class PurifyResult(Record):
+    _fields = __slots__ = ("basis", "status", "probed", "bound")
+
+    def __init__(self, basis: tuple[GroupElement, ...],
+                 status: str,              # "complete" | "possibly-incomplete"
+                 probed: tuple[int, ...],  # primes at which saturation was attempted
+                 bound: int | None):
+        super().__init__(basis, status, probed, bound)
 
     def to_json(self) -> dict:
         return {

@@ -8,12 +8,61 @@ the ambient shape for every element of the group under study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .arith import format_rational, parse_rational
 from .errors import NotPAdicIntegerError
+
+
+class Record:
+    """Base of the frozen records, which behave as frozen dataclasses do.  A
+    subclass names its fields in ``_fields``, its ``__slots__`` too, and sets
+    them in ``__init__``, which ``replace`` runs again on the changed copy."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = staticmethod(attrgetter(*cls._fields))  # a tuple: every record has two fields or more
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        # computed once, as the fields never change: the contexts and the
+        # config are hashed on every context, block and condition cache lookup
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._values(self)))
+            return self._hash
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({body})"
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values(self)))
+
+    def replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as assignment is refused
+        return type(self), self._values(self)
 
 
 class FinVec:
@@ -156,17 +205,14 @@ class FinVec:
         return f"FinVec({{{body}}})"
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """A candidate element (x0, x) of Q x Q^(N)."""
 
-    x0: Fraction
-    x: FinVec
+    _fields = __slots__ = ("x0", "x")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", Fraction(self.x0))
-        if not isinstance(self.x, FinVec):
-            object.__setattr__(self, "x", FinVec(self.x))
+    def __init__(self, x0: Fraction, x: FinVec):
+        object.__setattr__(self, "x0", Fraction(x0))
+        object.__setattr__(self, "x", x if isinstance(x, FinVec) else FinVec(x))
 
     @classmethod
     def zero(cls) -> "GroupElement":

@@ -187,6 +187,20 @@ def test_intvec_scan_cap():
         intvec_index(FinVec({9: 1000}), scan_cap=10_000)
 
 
+def test_intvec_code_stops_once_past_the_cap():
+    # the capped code is the full one up to the cap, and past the cap with it
+    cap = 1000
+    for v in [intvec_at(i) for i in range(1, 400)] + [FinVec({3: 40}), FinVec({1: 5, 6: -1})]:
+        full = bookkeeping._encode_vec(v, bookkeeping.int_code0)
+        capped = bookkeeping._encode_vec(v, bookkeeping.int_code0, cap)
+        assert capped == full if full <= cap else capped > cap
+    # the full codes would square about 63 and 10^12 times: neither is built
+    for v in (FinVec({64: 1}), FinVec({10 ** 12: 1})):
+        with pytest.raises(CapacityExceededError) as info:
+            intvec_index(v, scan_cap=cap)
+        assert (info.value.required, info.value.cap) == (cap + 1, cap)
+
+
 def test_intvec_scan_cap_refuses_before_decoding(monkeypatch):
     def refuse(code):
         raise AssertionError("decoded a code past the cap")

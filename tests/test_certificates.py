@@ -1,8 +1,8 @@
-import dataclasses
 import functools
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from padicgroup.certificates import (
     DivisibilityWitness,
     FreenessCertificate,
     certify_free,
+    check_printable,
     common_axis_multiple,
     divisibility_witness,
     verify_certificate,
@@ -138,7 +139,7 @@ def test_witness_primes_past_the_cap_are_refused_before_any_work(monkeypatch):
         divisibility_witness(e, 10000019, small)
     assert (info.value.required, info.value.cap) == (10000019, 100)
     with pytest.raises(CapacityExceededError) as info:
-        verify_witness(e, dataclasses.replace(wit, p=2 ** 61 - 1))
+        verify_witness(e, wit.replace(p=2 ** 61 - 1))
     assert (info.value.required, info.value.cap) == (2 ** 61 - 1, DEFAULT.prime_cap)
 
 
@@ -225,7 +226,7 @@ def test_certificate_rejects_unsaturated_basis():
     cert = certify_free(gens)
     assert cert.D == 42
     assert verify_certificate(gens, cert)
-    out = verify_certificate(gens, dataclasses.replace(cert, basis=tuple(gens)))
+    out = verify_certificate(gens, cert.replace(basis=tuple(gens)))
     assert not out
     assert out.reason == "basis is not saturated at prime 2"
 
@@ -235,7 +236,7 @@ def test_certificate_rejects_basis_missing_integer_points():
     gens = [element(0, {1: 2})]
     cert = certify_free(gens)
     assert cert.D == 1
-    out = verify_certificate(gens, dataclasses.replace(cert, basis=tuple(gens)))
+    out = verify_certificate(gens, cert.replace(basis=tuple(gens)))
     assert not out
     assert "integer point" in out.reason
 
@@ -247,8 +248,8 @@ def test_certificate_rejects_singular_translate_matrix():
     cert = certify_free(gens)
     rec = cert.bad[0]
     assert rec.p == 2 and rec.selected == (1,)
-    bent = dataclasses.replace(rec, selected=(0,), z_rows=((Fraction(0),),))
-    out = verify_certificate(gens, dataclasses.replace(cert, bad=(bent,) + cert.bad[1:]))
+    bent = rec.replace(selected=(0,), z_rows=((Fraction(0),),))
+    out = verify_certificate(gens, cert.replace(bad=(bent,) + cert.bad[1:]))
     assert not out
     assert out.reason == "matrix for prime 2 is singular"
 
@@ -268,8 +269,8 @@ def test_certificate_rejects_altered_record(field, value, reason):
     cert = certify_free(gens)
     rec = cert.bad[0]
     assert (rec.p, rec.selected, rec.z_rows, rec.m, rec.r) == (2, (0,), ((F(3, 2),),), 0, 1)
-    bent = dataclasses.replace(rec, **{field: value})
-    out = verify_certificate(gens, dataclasses.replace(cert, bad=(bent,) + cert.bad[1:]))
+    bent = rec.replace(**{field: value})
+    out = verify_certificate(gens, cert.replace(bad=(bent,) + cert.bad[1:]))
     assert not out
     assert out.reason == reason
 
@@ -280,7 +281,7 @@ def test_certificate_rejects_basis_beyond_generator_span():
     gens = [element(0, {1: 1})]
     cert = certify_free(gens)
     assert cert.D == 1 and verify_certificate(gens, cert)
-    out = verify_certificate(gens, dataclasses.replace(cert, basis=(element(0, {1: 1}), element(1, {}))))
+    out = verify_certificate(gens, cert.replace(basis=(element(0, {1: 1}), element(1, {}))))
     assert not out
     assert out.reason == "basis span differs from generator span"
 
@@ -288,7 +289,7 @@ def test_certificate_rejects_basis_beyond_generator_span():
 def test_certificate_refuses_huge_index_before_enumerating():
     gens = [element(1, {1: 2})]
     cert = certify_free(gens)
-    out = verify_certificate(gens, dataclasses.replace(cert, index=10**12))
+    out = verify_certificate(gens, cert.replace(index=10**12))
     assert not out
     assert out.reason == "certificate-incomplete: bad primes reach 1000000000001"
 
@@ -306,7 +307,7 @@ def test_certificate_lambda_past_the_height_cap_is_refused_before_factoring(monk
         FreenessCertificate.from_json(data)
     assert (str(info.value), info.value.required, info.value.cap) == (
         "rational height passed the cap of 100000", huge, 100000)
-    out = verify_certificate(gens, dataclasses.replace(cert, lam=FinVec({1: Fraction(1, huge)})))
+    out = verify_certificate(gens, cert.replace(lam=FinVec({1: Fraction(1, huge)})))
     assert (out.ok, out.reason) == (False, "rational height passed the cap of 100000")
     assert factored == []
 
@@ -315,7 +316,7 @@ def test_certificate_rejects_non_positive_index():
     gens = [element(1, {1: 2})]
     cert = certify_free(gens)
     for index in (0, -3):
-        out = verify_certificate(gens, dataclasses.replace(cert, index=index))
+        out = verify_certificate(gens, cert.replace(index=index))
         assert not out
         assert out.reason == f"index {index} must be >= 1"
 
@@ -594,8 +595,8 @@ def _tampered_certificate(draw):
         del rows[r]
     else:
         rows.insert(r, list(rows[draw(st.integers(0, len(rows) - 1))]))
-    bent = dataclasses.replace(cert.bad[i], z_rows=tuple(tuple(row) for row in rows))
-    return gens, dataclasses.replace(cert, bad=cert.bad[:i] + (bent,) + cert.bad[i + 1:])
+    bent = cert.bad[i].replace(z_rows=tuple(tuple(row) for row in rows))
+    return gens, cert.replace(bad=cert.bad[:i] + (bent,) + cert.bad[i + 1:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -617,8 +618,8 @@ def test_an_int_equal_to_a_stored_entry_passes():
     gens = TAMPER_GENS[2]
     cert = _certified(gens)
     assert cert.bad[0].z_rows == ((F(1, 2), F(-1)), (F(9, 2), F(0)))
-    bent = dataclasses.replace(cert.bad[0], z_rows=((F(1, 2), -1), (F(9, 2), 0)))
-    assert verify_certificate(list(gens), dataclasses.replace(cert, bad=(bent,) + cert.bad[1:]))
+    bent = cert.bad[0].replace(z_rows=((F(1, 2), -1), (F(9, 2), 0)))
+    assert verify_certificate(list(gens), cert.replace(bad=(bent,) + cert.bad[1:]))
 
 
 def test_records_below_the_pivot_ignore_a_wrong_target(monkeypatch):
@@ -667,8 +668,8 @@ def test_certificate_records_with_positive_m_round_trip():
     assert [(rec.p, rec.m, rec.r) for rec in cert.bad] == [
         (2, 0, 1), (3, 1, 0), (5, 1, 0), (7, 0, 0), (11, 0, 0), (13, 0, 0), (17, 0, 0), (19, 0, 0)]
     assert verify_certificate(gens, FreenessCertificate.from_json(cert.to_json()))
-    bent = dataclasses.replace(cert.bad[1], m=0)
-    out = verify_certificate(gens, dataclasses.replace(cert, bad=(cert.bad[0], bent) + cert.bad[2:]))
+    bent = cert.bad[1].replace(m=0)
+    out = verify_certificate(gens, cert.replace(bad=(cert.bad[0], bent) + cert.bad[2:]))
     assert out.reason == "record for prime 3 claims m = 0, recomputed 1"
 
 
@@ -697,3 +698,19 @@ def test_certificates_of_enumerated_functionals_are_frozen():
         certs.append(cert.to_json())
     digest = hashlib.sha256(json.dumps(certs, sort_keys=True).encode()).hexdigest()
     assert digest == "80dd3ad057f148f6dbc5919a91253c4efea17a798b6bc0180af120a3a20d3cca"
+
+
+def test_certificates_past_the_digit_limit_are_refused_before_formatting():
+    limit = sys.get_int_max_str_digits()
+    cert = certify_free([element(1, {1: 2})])
+    check_printable(cert.replace(D=10 ** limit - 1))  # limit digits: printable
+    assert len(json.dumps(cert.replace(D=10 ** limit - 1).to_json())) > limit
+    for bent in (cert.replace(D=10 ** limit), cert.replace(D=-(10 ** limit)),
+                 cert.replace(basis=(element(Fraction(1, 10 ** limit), {1: 2}),)),
+                 cert.replace(bad=cert.bad[:1] + (cert.bad[1].replace(z_rows=((Fraction(10 ** limit, 3),),)),))):
+        with pytest.raises(CapacityExceededError) as info:
+            check_printable(bent)
+        assert (info.value.required, info.value.cap) == (limit + 1, limit)
+    with pytest.raises(CapacityExceededError) as info:
+        check_printable(cert.replace(D=7 * 10 ** (2 * limit)))
+    assert info.value.required == 2 * limit + 1

@@ -86,6 +86,8 @@ EXIT_CASES = [
     (("certify", '[{"x0": "1", "x": {"1": "1000003"}}]'), 3),
     (("certify", '[{"x0": "1", "x": {"1": "100000000000000000000"}}]'), 3),
     (("witness", '{"x0": "0", "x": {"1": "700"}}'), 3),
+    # a class vector at position 64, whose code has about 2^63 bits
+    (("witness", '{"x0": "0", "x": {"64": "1"}}'), 3),
     (("enum", "rat", "--from", "1000000000000", "--to", "1000000000000"), 3),
     (("enum", "lambda", "--from", str(10 ** 40), "--to", str(10 ** 40)), 3),
     (("member", '{"x0": "0", "x": {"1": "1/2", "01": "1"}}'), 2),
@@ -291,6 +293,26 @@ def test_certificate_lambda_past_the_height_cap_gets_the_certify_refusal():
         "error": "capacity-exceeded", "detail": "rational height passed the cap of 100000",
         "required": 10 ** 50 + 1, "cap": 100000, "fingerprint": FINGERPRINT})
     assert run("certify", f'[{{"x0": "1", "x": {{"1": "{10 ** 50 + 1}"}}}}]') == (code, out)
+
+
+def test_witness_at_a_wide_position_is_refused_quickly():
+    # the class code passes the scan cap within a few of the 64 positions
+    start = time.perf_counter()
+    code, out = run("witness", '{"x0": "0", "x": {"64": "1"}}')
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(out)) == (3, {
+        "error": "capacity-exceeded", "detail": "integer-vector scan passed the cap of 1000000 codes",
+        "required": 1_000_001, "cap": 1_000_000, "fingerprint": FINGERPRINT})
+
+
+def test_certificate_past_the_digit_limit_exits_3():
+    # lambda = (8, -1, -2) has index 9,815, bad primes up to 9,816 and a D of 8,374 digits
+    gens = '[{"x0":"8","x":{"1":"1"}},{"x0":"-1","x":{"2":"1"}},{"x0":"-2","x":{"3":"1"}}]'
+    code, out = run("certify", gens)
+    assert code == 3 and len(out.splitlines()) == 1
+    data = json.loads(out)
+    assert data["error"] == "capacity-exceeded"
+    assert (data["required"], data["cap"]) == (8374, sys.get_int_max_str_digits())
 
 
 def test_element_argument_accepts_files(tmp_path):

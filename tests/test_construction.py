@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -35,16 +34,19 @@ from padicgroup.errors import (
     NotPrimeError,
 )
 from padicgroup.linalg import det, hnf
-from padicgroup.vectors import FinVec
+from padicgroup.vectors import FinVec, Record
 
 
-@dataclasses.dataclass(frozen=True)
 class FixedTarget(PrimeContext):
     """A context with a given target in place of the built one.  Equality
     needs the same class, so it never equals a built context nor shares its
     condition_block or layer_conditions cache entries."""
 
-    target: int = dataclasses.field()  # a bare annotation would default to the inherited property
+    _fields = PrimeContext._fields + ("target",)
+    __slots__ = ("target",)  # a field, in place of the inherited cached property
+
+    def __init__(self, p: int, vec: FinVec, width: int, target: int):
+        Record.__init__(self, p, vec, width, target)
 
 
 def test_context_frozen_small_primes():
@@ -70,9 +72,8 @@ def test_context_frozen_small_primes():
 
 def test_context_keeps_only_underived_fields():
     ctx = build_context.__wrapped__(5, DEFAULT)
-    fields = tuple(f.name for f in dataclasses.fields(PrimeContext))
-    assert fields == ("p", "vec", "width")
-    # the generated hash and equality, over those three fields, the same
+    assert PrimeContext._fields == ("p", "vec", "width")
+    # the record hash and equality, over those three fields, the same
     # before and after the pivot, the target and the slopes are computed
     built = PrimeContext(5, FinVec({1: -1, 2: -1}), 6)
     assert hash(ctx) == hash((5, ctx.vec, 6)) and ctx == built

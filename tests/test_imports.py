@@ -1,6 +1,6 @@
 """Which modules a fresh process loads: the core at import, certificates and
-checks only for the commands that use them; and no module imports a name it
-never uses."""
+checks only for the commands that use them, dataclasses never; and no module
+imports a name it never uses."""
 
 import ast
 import json
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import padicgroup
+from test_acceptance import REGRESSION_COMMANDS
 
 ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 DEFERRED = {"padicgroup.certificates", "padicgroup.checks"}
@@ -24,13 +25,15 @@ def fresh(code: str) -> str:
     return proc.stdout
 
 
-def cli_imports(*argv: str) -> set[str]:
-    """Modules a `python -m padicgroup` process imports, from -X importtime."""
+def cli_imports(*argv: str, codes=(0,)) -> set[str]:
+    """Modules a `python -m padicgroup` process imports after the site hooks
+    ran, from -X importtime, which lists a module once its imports are done."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "padicgroup", *argv],
                           env=ENV, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+    assert proc.returncode in codes, proc.stderr
+    names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return set(names[names.index("site") + 1:])
 
 
 def test_import_loads_only_the_core():
@@ -38,7 +41,7 @@ def test_import_loads_only_the_core():
     out = fresh("import json, sys; before = set(sys.modules); import padicgroup; "
                 "print(json.dumps(sorted(set(sys.modules) - before)))")
     added = set(json.loads(out))
-    assert not added & (DEFERRED | {"padicgroup.cli", "hashlib"})
+    assert not added & (DEFERRED | {"padicgroup.cli", "hashlib", "dataclasses"})
     core = {"arith", "errors", "vectors", "bookkeeping", "config", "construction", "linalg", "group"}
     assert {f"padicgroup.{m}" for m in core} <= added
 
@@ -64,6 +67,13 @@ def test_certificate_commands_skip_checks(argv):
     loaded = cli_imports(*argv)
     assert "padicgroup.certificates" in loaded
     assert "padicgroup.checks" not in loaded
+
+
+@pytest.mark.parametrize("argv", REGRESSION_COMMANDS, ids=" ".join)
+def test_no_command_loads_dataclasses(argv):
+    loaded = cli_imports(*argv, codes=(0, 1))
+    assert "padicgroup.cli" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_every_exported_name_resolves():

@@ -1,7 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from padicgroup.certificates import BadPrimeRecord, CheckOutcome
+from padicgroup.config import DEFAULT
+from padicgroup.group import MembershipVerdict
 from padicgroup.vectors import FinVec, GroupElement, element
 
 
@@ -123,3 +128,50 @@ def test_element_json_requires_exact_keys():
         GroupElement.from_json({"x0": "1"})
     with pytest.raises(ValueError):
         GroupElement.from_json({"x0": "1", "x": {}, "extra": 1})
+
+
+def test_record_fields_are_frozen():
+    verdict = MembershipVerdict(False, 3)
+    for name in ("member", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(verdict, name, True)
+    with pytest.raises(AttributeError):
+        del verdict.reason
+    assert verdict.member is False and verdict.reason is None
+
+
+def test_record_equality_needs_the_class_and_the_hash_is_the_field_tuple():
+    class Twin(MembershipVerdict):  # the same fields in another class
+        __slots__ = ()
+
+    fields = (False, 3, FinVec({1: 2}), "reason", (2, 3))
+    verdict = MembershipVerdict(*fields)
+    assert verdict == MembershipVerdict(*fields) and hash(verdict) == hash(fields)
+    assert verdict != MembershipVerdict(False, 5, *fields[2:])
+    assert verdict != Twin(*fields) and Twin(*fields) != verdict
+    assert hash(element(1, {2: 3})) == hash((Fraction(1), FinVec({2: 3})))
+
+
+def test_record_repr_is_in_dataclass_format():
+    assert repr(MembershipVerdict(True, checked_primes=(2,))) == (
+        "MembershipVerdict(member=True, failing_prime=None, failing_residue=None, "
+        "reason=None, checked_primes=(2,))")
+
+
+def test_record_replace_runs_init_again():
+    small = DEFAULT.replace(prime_cap=100)
+    assert (small.prime_cap, small.residue_cap, DEFAULT.prime_cap) == (100, DEFAULT.residue_cap, 1_000_000)
+    with pytest.raises(ValueError, match="prime_cap"):
+        DEFAULT.replace(prime_cap=0)
+    with pytest.raises(TypeError):
+        DEFAULT.replace(no_such_cap=1)
+    moved = element(1, {2: 3}).replace(x0=2, x={1: 1})
+    assert moved == element(2, {1: 1}) and type(moved.x0) is Fraction and type(moved.x) is FinVec
+
+
+def test_records_without_a_vector_copy_and_pickle_as_before():
+    # FinVec refuses both, so only records that hold none can
+    for record in (DEFAULT.replace(scan_cap=7), CheckOutcome(False, "no"),
+                   BadPrimeRecord(2, (0,), ((Fraction(3, 2),),), 0, 1), MembershipVerdict(True)):
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert clone == record and type(clone) is type(record)
