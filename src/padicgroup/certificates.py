@@ -456,8 +456,7 @@ def verify_certificate(gens, cert: FreenessCertificate, config: Config = DEFAULT
         for idx, e in enumerate(elems):
             if e.x.max_support > k:
                 return CheckOutcome(False, f"{label} {idx} exceeds the working dimension {k}")
-            dens = [e.x0.denominator] + [v.denominator for _, v in e.x.items()]
-            if any(cert.D % den != 0 for den in dens):
+            if cert.D % e.denominator_lcm():  # D is a multiple of every denominator
                 return CheckOutcome(False, f"{label} {idx} has a denominator not dividing D = {cert.D}")
     for idx, e in enumerate(cert.basis):
         if not is_member(e, config):

@@ -40,7 +40,7 @@ from .config import DEFAULT, Config, check_prime_cap
 from .errors import CapacityExceededError, EnumerationRangeError
 from .vectors import FinVec, Record
 
-# entries kept by each of the context and block caches
+# entries kept by each of the context, block and conditions caches
 CACHE_SIZE = 1 << 12
 
 
@@ -328,7 +328,6 @@ def _box_conditions(p: int, b0: int, slopes: dict[int, int], coords, piv: int) -
     return conditions
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def layer_conditions(ctx: PrimeContext, w: int, m: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Congruences (c0, j, cj, piv, cp) that decide a Z-affine map on the
     residues mod p^m on window [1, w].  For a row [y_0, ..., y_w] and f(r) =
@@ -343,8 +342,8 @@ def layer_conditions(ctx: PrimeContext, w: int, m: int) -> tuple[tuple[int, int,
       block k is a layer point plus p^(s(k)+1) e_j, and s never decreases
       in k, so block k = j binds.
 
-    At most w + 2 + min(w, kmax) tuples, cached and shared by every caller;
-    no residue is enumerated, so no cap applies.
+    At most w + 2 + min(w, kmax) tuples, which membership and saturation
+    cache per (p, w, m, config); no residue is enumerated, so no cap applies.
     """
     p = ctx.p
     w2 = min(w, ctx.width)

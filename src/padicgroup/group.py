@@ -18,14 +18,14 @@ exact; without one the search is capped and flagged.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .arith import int_valuation, prime_factors, primes_up_to
+from .arith import prime_factors, primes_up_to
 from .bookkeeping import FINGERPRINT
 from .config import DEFAULT, Config
-from .construction import build_context, first_failing_residue, layer_conditions
+from .construction import CACHE_SIZE, build_context, first_failing_residue, layer_conditions
 from .errors import CapacityExceededError, NotInGroupError
 from .vectors import FinVec, GroupElement, Record
 
@@ -55,22 +55,16 @@ class MembershipVerdict(Record):
         }
 
 
-def _conditions(g: int, e: int, p: int, w: int, lift: int, config: Config):
-    """The layer conditions that decide whether each l_r(row / den) is
-    p-integral for every residue r and, with lift 1, also l_r mod p, where
-    e = v_p(den) and g is the gcd of the x numerators of every row.
-
-    The residues are those mod p^m on the window [1, w], where m = max(1,
-    lift + e - v_p(g)).  Condition values and the values den * l_r(row /
-    den) = f(r) are integer combinations of each other (layer_conditions),
-    so the p-integrality of every f(r) / p^e and the F_p span of those
-    values are read off the conditions.  At m = 1 every x numerator has
-    valuation at least e - 1 + lift, so the condition p e_piv holds for
-    every row.  An empty window has the zero residue only, the condition
-    f(0) = y_0, and needs no context.
-    """
-    # an all-zero x part gives m = max(1, lift)
-    m = max(1, lift + e - (int_valuation(g, p) if g else e))
+@lru_cache(maxsize=CACHE_SIZE)
+def _conditions(p: int, w: int, m: int, config: Config):
+    """The layer conditions of the residues mod p^m on the window [1, w],
+    cached per (p, w, m, config).  Their values and f(r) = den * l_r(row /
+    den) are integer combinations of each other (layer_conditions), so they
+    decide the p-integrality of every f(r) / p^e, e = v_p(den), at m = max(1,
+    e - v_p(g)), g the gcd of the x numerators, and the F_p span of those
+    values at m = 1 + e - min(e, v_p(g)).  At m = 1 every x numerator has
+    valuation at least e - 1 (e for the span), so p e_piv holds for every
+    row.  An empty window has the zero residue only and needs no context."""
     if w == 0:
         return ((1, 0, 0, 0, 0),)
     return layer_conditions(build_context(p, config), w, m)
@@ -89,28 +83,29 @@ def membership(e: GroupElement, config: Config = DEFAULT) -> MembershipVerdict:
     index.  Trial division stops at config.prime_cap: a denominator with a
     prime factor past it is refused before any condition is checked.
     """
-    den = e.denominator_lcm()
+    den, y0, x, g = e.cleared()
     primes = prime_factors(den, config.prime_cap)
     w = e.x.max_support
-    y0 = e.x0.numerator * (den // e.x0.denominator)
-    x = {i: v.numerator * (den // v.denominator) for i, v in e.x.items()}
     at = x.get  # index 0 stands for an absent term and reads 0
-    g = reduce(gcd, x.values(), 0)
+    rest = den
     for p in primes:
-        e_p = int_valuation(den, p)
-        scale = p ** e_p
-        failing = next(((c0, j, cj, piv, cp) for c0, j, cj, piv, cp in _conditions(g, e_p, p, w, 0, config)
-                        if (c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % scale), None)
-        if failing is None:
+        scale, m, rest = p, 1, rest // p  # scale = p^e, e = v_p(den), and m = max(1, e - v_p(g))
+        while not rest % p:
+            m += g % scale != 0
+            scale, rest = scale * p, rest // p
+        for c0, j, cj, piv, cp in _conditions(p, w, m, config):
+            if (c0 * y0 + cj * at(j, 0) + cp * at(piv, 0)) % scale:
+                break
+        else:
             continue
-        r = first_failing_residue(p, w, failing, y0, x, scale, config)
+        r = first_failing_residue(p, w, (c0, j, cj, piv, cp), y0, x, scale, config)
         if e.x.is_zero:
             reason = f"leading coordinate {e.x0} is not {p}-integral; axis elements must be integers"
         else:
             num = y0 + sum(v * at(i, 0) for i, v in r.items())
             reason = f"x0 + <r, x> = {Fraction(num, den)} is not {p}-integral"
         return MembershipVerdict(False, p, r, reason, tuple(primes))
-    return MembershipVerdict(member=True, checked_primes=tuple(primes))
+    return MembershipVerdict(True, None, None, None, tuple(primes))
 
 
 def is_member(e: GroupElement, config: Config = DEFAULT) -> bool:
@@ -129,9 +124,8 @@ def element_row(e: GroupElement, k: int) -> list[Fraction]:
     return [e.x0] + [e.x[i] for i in range(1, k + 1)]
 
 
-def row_element(row: list[Fraction]) -> GroupElement:
-    entries = {i: v for i, v in enumerate(row[1:], start=1) if v != 0}
-    return GroupElement(Fraction(row[0]), FinVec(entries))
+def row_element(row: list, den: int = 1) -> GroupElement:  # (row[0], row[1:]) / den
+    return GroupElement(Fraction(row[0], den), FinVec({i: Fraction(v, den) for i, v in enumerate(row[1:], 1) if v}))
 
 
 def spans_disjoint(gens1, gens2) -> bool:
@@ -176,12 +170,12 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     EchelonModP, a reduced form, returns the same basis as for the residue
     matrix.  The loop stops as soon as that matrix has full column rank.
     """
-    e = int_valuation(lat.den, p)
-    scale = p ** e
+    g, scale, m, rest = gcd(*(v for row in lat.rows for v in row[1:])), 1, 1, lat.den
+    while not rest % p:  # scale = p^e, e = v_p(den), and m = 1 + e - min(e, v_p(g))
+        scale, rest = scale * p, rest // p
+        m += g % scale != 0
     echelon = linalg.EchelonModP(p, lat.dim)
-    g = reduce(gcd, (v for row in lat.rows for v in row[1:]), 0)
-    conditions = _conditions(g, e, p, lat.ncols - 1, 1, config)
-    for c0, j, cj, piv, cp in conditions:
+    for c0, j, cj, piv, cp in _conditions(p, lat.ncols - 1, m, config):
         values = []
         for row in lat.rows:
             num = c0 * row[0] + cj * row[j] + cp * row[piv]
@@ -223,8 +217,7 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
     int_rows = linalg.integer_span_points(gen_rows, ncols)
     if k == 0:
         # span lies on the axis; its members are exactly the integer points
-        basis = tuple(row_element(row) for row in int_rows)
-        return PurifyResult(basis, "complete", (), bound)
+        return PurifyResult(tuple(map(row_element, int_rows)), "complete", (), bound)
     lat = linalg.RatLattice.from_rows(gen_rows + int_rows, ncols)
 
     if bound is not None:
@@ -245,5 +238,4 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
                 f"saturation at prime {p} did not stabilize",
                 required=config.purify_round_cap + 1, cap=config.purify_round_cap,
             )
-    basis = tuple(row_element(row) for row in lat.rational_rows())
-    return PurifyResult(basis, status, tuple(primes), bound)
+    return PurifyResult(tuple(row_element(row, lat.den) for row in lat.rows), status, tuple(primes), bound)

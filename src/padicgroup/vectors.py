@@ -9,7 +9,7 @@ the ambient shape for every element of the group under study.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 from .arith import format_rational, parse_rational
@@ -84,6 +84,9 @@ class FinVec:
 
     def __setattr__(self, name, value):
         raise AttributeError("FinVec is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as assignment is refused
+        return FinVec, (self._entries,)
 
     @classmethod
     def zero(cls) -> "FinVec":
@@ -240,6 +243,19 @@ class GroupElement(Record):
 
     def denominator_lcm(self) -> int:
         return lcm(self.x0.denominator, self.x.denominator_lcm())
+
+    def cleared(self) -> tuple[int, int, dict[int, int], int]:
+        """(den, den * x0, den * x by position, its gcd or 0), den the least common denominator."""
+        den, terms = self.x0.denominator, []
+        for i, v in self.x._entries.items():
+            d = v.denominator
+            terms.append((i, v.numerator, d))
+            if den % d:
+                den = lcm(den, d)
+        x = {}
+        for i, n, d in terms:
+            x[i] = n * (den // d)
+        return den, self.x0.numerator * (den // self.x0.denominator), x, gcd(*x.values())
 
     def to_json(self) -> dict:
         return {"x0": format_rational(self.x0), "x": self.x.to_json()}

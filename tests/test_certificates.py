@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicgroup import bookkeeping, certificates, construction, linalg
+from padicgroup import bookkeeping, certificates, construction, group, linalg
 from padicgroup.arith import primes_up_to, valuation
 from padicgroup.bookkeeping import FINGERPRINT
 from padicgroup.certificates import (
@@ -650,7 +650,7 @@ def test_certify_computes_the_target_only_where_a_record_window_holds_the_pivot(
     target = construction._target
     monkeypatch.setattr(construction, "_target", lambda p, vec: calls.append(p) or target(p, vec))
     for index, lam in [(379, ("-5/4",)), (57, ("-1", "-2")), (40, ("1", "1"))]:
-        for cache in (build_context, condition_block, construction.layer_conditions):
+        for cache in (build_context, condition_block, group._conditions):
             cache.cache_clear()
         calls.clear()
         lam = [F(v) for v in lam]

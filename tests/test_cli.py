@@ -131,6 +131,15 @@ def test_member_failure_payload():
     assert "axis elements must be integers" in data["reason"]
 
 
+def test_member_failure_at_the_third_denominator_prime_is_pinned():
+    # den = 750: 2 and 3 pass, 5 fails with e = 3 and m = 3
+    code, out = run("member", '{"x0": "-7/6", "x": {"1": "5/6", "2": "1/125", "3": "1/25"}}')
+    assert code == 1
+    data = json.loads(out)
+    assert (data["checked_primes"], data["failing_prime"], data["failing_residue"]) == ([2, 3, 5], 5, {"2": "4"})
+    assert hashlib.sha256(out.encode()).hexdigest() == "ae2f37ac8ee0811829a406928cb2bed622ba3f8d0c51b1b03ce5cf28882247fd"
+
+
 def test_witness_multi_prime_default():
     code, out = run("witness", E_MINUS)
     assert code == 0

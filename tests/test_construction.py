@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicgroup import bookkeeping, construction
+from padicgroup import bookkeeping, construction, group
 from padicgroup.arith import primes_up_to, reduce_mod
 from padicgroup.bookkeeping import FINGERPRINT, enum_qvec, enum_rat, partition_vector, unpair0
 from padicgroup.config import DEFAULT
@@ -40,7 +40,7 @@ from padicgroup.vectors import FinVec, Record
 class FixedTarget(PrimeContext):
     """A context with a given target in place of the built one.  Equality
     needs the same class, so it never equals a built context nor shares its
-    condition_block or layer_conditions cache entries."""
+    condition_block cache entries."""
 
     _fields = PrimeContext._fields + ("target",)
     __slots__ = ("target",)  # a field, in place of the inherited cached property
@@ -579,6 +579,7 @@ def test_affine_pivot_rule_matches_the_hull_of_synthetic_layers():
 def test_caches_are_bounded():
     assert build_context.cache_info().maxsize == 1 << 12
     assert condition_block.cache_info().maxsize == 1 << 12
+    assert group._conditions.cache_info().maxsize == 1 << 12
 
 
 def test_blocks_on_a_window_are_truncated_full_blocks():

@@ -490,6 +490,19 @@ def test_axis_element_builds_no_context():
     assert build_context.cache_info().misses == misses
 
 
+def test_a_warm_membership_looks_up_each_denominator_prime_once():
+    # one conditions cache hit per denominator prime, and no context lookup
+    z = {p: GroupElement(F(-build_context(p).target, p), build_context(p).vec.scale(F(1, p))) for p in (2, 3, 5, 7)}
+    for e in (element(F(-5, 6), {1: F(-5, 6)}), z[2] + z[5], z[2] + z[3] + z[5] + z[7].scale(3)):
+        verdict = membership(e)
+        assert verdict.member and len(verdict.checked_primes) >= 2
+        contexts, conditions = build_context.cache_info(), group_module._conditions.cache_info()
+        assert membership(e) == verdict
+        assert build_context.cache_info() == contexts
+        after = group_module._conditions.cache_info()
+        assert (after.hits - conditions.hits, after.misses) == (len(verdict.checked_primes), conditions.misses)
+
+
 def test_membership_checks_only_denominator_primes():
     verdict = membership(element(F(-5, 6), {1: F(-5, 6)}))
     assert list(verdict.checked_primes) == [2, 3]

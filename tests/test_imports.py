@@ -46,6 +46,19 @@ def test_import_loads_only_the_core():
     assert {f"padicgroup.{m}" for m in core} <= added
 
 
+def test_import_does_no_work():
+    # every memo cache starts empty and the prime sieve at its seed limit
+    out = fresh("import json, sys, padicgroup\n"
+                "caches = {f'{name}.{key}': value.cache_info().currsize for name, mod in list(sys.modules.items())\n"
+                "          if name.startswith('padicgroup.') for key, value in vars(mod).items() if hasattr(value, 'cache_info')}\n"
+                "print(json.dumps([caches, padicgroup.arith._SIEVE_LIMIT]))")
+    caches, sieve_limit = json.loads(out)
+    assert {"padicgroup.construction.build_context", "padicgroup.construction.condition_block",
+            "padicgroup.group._conditions", "padicgroup.bookkeeping.enum_rat"} <= set(caches)
+    assert {name: size for name, size in caches.items() if size} == {}
+    assert sieve_limit == 14
+
+
 @pytest.mark.parametrize("argv", [
     ["ctx", "7"],
     ["member", '{"x0": "5", "x": {}}'],

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from padicgroup.certificates import BadPrimeRecord, CheckOutcome
+from padicgroup.certificates import BadPrimeRecord, CheckOutcome, certify_free, divisibility_witness
 from padicgroup.config import DEFAULT
-from padicgroup.group import MembershipVerdict
+from padicgroup.group import MembershipVerdict, membership, purify
 from padicgroup.vectors import FinVec, GroupElement, element
 
 
@@ -170,8 +170,20 @@ def test_record_replace_runs_init_again():
 
 
 def test_records_without_a_vector_copy_and_pickle_as_before():
-    # FinVec refuses both, so only records that hold none can
     for record in (DEFAULT.replace(scan_cap=7), CheckOutcome(False, "no"),
                    BadPrimeRecord(2, (0,), ((Fraction(3, 2),),), 0, 1), MembershipVerdict(True)):
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert clone == record and type(clone) is type(record)
+
+
+def test_vectors_and_the_records_holding_them_copy_and_pickle():
+    # FinVec rebuilds through __init__ as a record does, so every result type round-trips
+    gens = [element(-1, {1: -1})]
+    verdict = membership(element(Fraction(1, 5), {1: Fraction(1, 5)}))
+    assert verdict.failing_residue is not None
+    results = (FinVec({1: 2}), FinVec(), element(Fraction(1, 2), {3: Fraction(-1, 4)}), verdict,
+               purify(gens, bound=42), certify_free(gens), divisibility_witness(gens[0], 17))
+    for result in results:
+        for clone in (copy.copy(result), copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+            assert clone == result and type(clone) is type(result)
+            assert clone.to_json() == result.to_json() and hash(clone) == hash(result)
