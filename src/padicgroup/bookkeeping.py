@@ -252,9 +252,10 @@ def enum_qvec(i: int) -> FinVec:
     return _decode_vec(i, lambda c: enum_rat(c + 1))
 
 
-def qvec_index(v: FinVec) -> int:
-    """Smallest index whose decode equals v (encodes the canonical component list)."""
-    return _encode_vec(v, rat_code0)
+def qvec_index(v: FinVec, cap: float = inf) -> int:
+    """Smallest index whose decode equals v (encodes the canonical component list);
+    past the cap, a lower bound above it (the code of a tail, as _encode_vec)."""
+    return _encode_vec(v, rat_code0, cap)
 
 
 def _intvec_decode(code: int) -> FinVec:

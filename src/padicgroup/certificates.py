@@ -350,7 +350,7 @@ def _records(lam: FinVec, k: int, picks, config: Config):
     d, (shift,) = linalg._clear([[lam[i] for i in range(1, k + 1)]])
     shift = list(enumerate(shift, start=1))  # (i, d*lambda_i), read by every row
     lam_den = lam.denominator_lcm()
-    ident = [[int(i == j) for j in range(k)] for i in range(k)]
+    ident = linalg.identity(k)
     for p, selected in picks:
         block = condition_block(build_context(p, config), k, k)
         rows = [[d * phi[i] + s for i, s in shift] for phi in block.vectors]
@@ -373,7 +373,7 @@ def certify_free(gens, config: Config = DEFAULT) -> FreenessCertificate:
             raise NotInGroupError(f"generator {idx} is not a group element: {g!r}")
     k = max([1] + [g.x.max_support for g in gens])
     lam = _solve_lambda(gens, k)
-    index = qvec_index(lam)
+    index = qvec_index(lam, config.bad_prime_cap)  # past the cap, _bad_primes refuses it
     primes = _bad_primes(lam, index, k, config)
     bad = [BadPrimeRecord(p, selected, tuple(tuple(Fraction(a, d) for a in row) for row in rows), m, r)
            for p, (selected, rows, d, m, r) in zip(primes, _records(lam, k, ((p, None) for p in primes), config))]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .arith import prime_factors, primes_up_to
@@ -187,20 +187,45 @@ def saturation_kernel(lat: linalg.RatLattice, p: int, config: Config = DEFAULT) 
     return echelon.kernel()
 
 
+def _saturate(lat: linalg.RatLattice, p: int, config: Config) -> linalg.RatLattice:
+    """G meet lat[1/p]: each round adjoins (1/p) sum c_i b_i for a basis c of
+    saturation_kernel, until that kernel is trivial or the round cap refuses."""
+    for _ in range(config.purify_round_cap):
+        kernel = saturation_kernel(lat, p, config)
+        if not kernel:
+            return lat
+        lat = lat.adjoin(kernel, p)
+    raise CapacityExceededError(f"saturation at prime {p} did not stabilize",
+                                required=config.purify_round_cap + 1, cap=config.purify_round_cap)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _unit_saturation(p: int, n: int, config: Config) -> linalg.RatLattice | None:
+    """S_p = G meet Z[1/p]^n, the rounds of _saturate run from Z^n, or None
+    when they pass the round cap.  From any L containing Z^n the rounds need
+    no more than these: (L + S_p) / L is a quotient of S_p / Z^n."""
+    try:
+        return _saturate(linalg.RatLattice(1, linalg.identity(n), n), p, config)
+    except CapacityExceededError:
+        return None
+
+
 def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyResult:
     """Pure closure of the subgroup generated by gens, as a lattice basis.
 
-    Starts from the generators together with all integer points of their
-    rational span (integer vectors are always members), then saturates at
-    each candidate prime p: each round adjoins (1/p) sum c_i b_i for a
-    basis c of saturation_kernel, in integers (RatLattice.adjoin), until
-    that kernel is trivial.  The fixpoint G meet L[1/p] is unique and its
-    Hermite basis canonical.
+    Starts from the lattice L of the generators and all integer points of
+    their rational span (integer vectors are always members), then saturates
+    at each candidate prime p to the unique fixpoint G meet L[1/p], whose
+    Hermite basis is canonical: by the rounds of _saturate when the span is
+    lower rank.  A span of all of Q^n has L containing Z^n, so L[1/p] = L +
+    Z[1/p]^n and G meet L[1/p] = L + S_p, S_p = G meet Z[1/p]^n cached per
+    (p, n, config): one Hermite reduction sums L and the nontrivial S_p.
     With a certified bound D the candidate primes are exactly the divisors
     of D and the fixpoint is the full pure closure; otherwise primes up to
     the configured cap are probed and the result is marked
     possibly-incomplete.  A factor of D past the prime cap is refused before
-    any round; trial division stops at the cap.
+    any round; trial division stops at the cap.  A prime whose S_p passes
+    the round cap runs the rounds on L, so a refusal names the same prime.
     """
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -227,15 +252,19 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
         primes = sorted(set(primes_up_to(config.purify_prime_cap)) | set(prime_factors(lat.den)))
         status = "possibly-incomplete"
 
+    pieces = [lat]
     for p in primes:
-        for _ in range(config.purify_round_cap):
-            kernel = saturation_kernel(lat, p, config)
-            if not kernel:
-                break
-            lat = lat.adjoin(kernel, p)
-        else:
-            raise CapacityExceededError(
-                f"saturation at prime {p} did not stabilize",
-                required=config.purify_round_cap + 1, cap=config.purify_round_cap,
-            )
+        piece = _unit_saturation(p, ncols, config) if lat.dim == ncols else None
+        if piece is None:  # a lower-rank span, or S_p past the round cap: rounds on the sum so far
+            pieces = [_saturate(_lattice_sum(pieces), p, config)]
+        elif piece.den > 1:
+            pieces.append(piece)
+    lat = _lattice_sum(pieces)
     return PurifyResult(tuple(row_element(row, lat.den) for row in lat.rows), status, tuple(primes), bound)
+
+
+def _lattice_sum(lats: list[linalg.RatLattice]) -> linalg.RatLattice:
+    """The sum of lattices of one width, by one Hermite reduction over their common denominator."""
+    den = lcm(*(lat.den for lat in lats))
+    return lats[0] if len(lats) == 1 else linalg.RatLattice.reduced(
+        den, [[v * (den // lat.den) for v in row] for lat in lats for row in lat.rows], lats[0].ncols)

@@ -11,9 +11,9 @@ divide by d only where they return Fractions; ``integer_span_points``
 reads the integer rows directly.  Over F_p, ``EchelonModP`` is the
 incremental echelon form of the saturation kernel.  Over Z, ``hnf`` is
 the one Hermite reduction.  ``RatLattice`` holds a lattice as integer
-Hermite rows over its least denominator: ``contains`` compares Hermite
-forms, and ``adjoin`` grows it by (1/p)-combinations of its basis without
-leaving the integers.  Nothing here knows about the group.
+Hermite rows over its least denominator (``reduced``): ``contains``
+compares Hermite forms, and ``adjoin`` grows it by (1/p)-combinations of
+its basis without leaving the integers.  Nothing here knows about the group.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Row = list
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _clear(rows: list[Row]) -> tuple[int, list[list[int]]]:
@@ -159,8 +163,7 @@ def solve_right(rows: list[Row], rhs: Row, ncols: int):
     """
     n = len(rows)
     _, cleared = _clear([row + [rhs[i]] for i, row in enumerate(rows)])
-    mat, pivots, _ = bareiss([row + [int(i == j) for j in range(n)]
-                              for i, row in enumerate(cleared)], ncols)
+    mat, pivots, _ = bareiss([row + e for row, e in zip(cleared, identity(n))], ncols)
     d = _last_pivot(mat, pivots)
     for row in mat[len(pivots):]:
         if row[ncols] != 0:
@@ -175,7 +178,7 @@ def invert(square: list[Row]) -> list[Row] | None:
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(square)
     den, cleared = _clear(square)
-    mat, pivots, _ = bareiss([row + [int(i == j) for j in range(n)] for i, row in enumerate(cleared)], n)
+    mat, pivots, _ = bareiss([row + e for row, e in zip(cleared, identity(n))], n)
     if len(pivots) < n:
         return None
     d = _last_pivot(mat, pivots)  # mat = d * [I | (den * square)^-1]
@@ -244,6 +247,8 @@ def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
     mat, pivots, _ = bareiss(_clear(span_rows)[1], ncols)
     d = _last_pivot(mat, pivots)
     free = [c for c in range(ncols) if c not in pivots]
+    if not free:  # the span is Q^ncols
+        return identity(ncols)
     complement = []  # columns of K: d e_f - sum_i mat[i][f] e_pivots[i]
     for f in free:
         vec = [0] * ncols
@@ -252,8 +257,7 @@ def integer_span_points(span_rows: list[Row], ncols: int) -> list[Row]:
             vec[c] = -row[f]
         complement.append(vec)
     q = len(free)
-    stacked = hnf([[vec[i] for vec in complement] + [int(i == j) for j in range(ncols)]
-                   for i in range(ncols)])
+    stacked = hnf([[vec[i] for vec in complement] + e for i, e in enumerate(identity(ncols))])
     return [row[q:] for row in stacked if not any(row[:q])]
 
 
@@ -293,16 +297,21 @@ class RatLattice:
     def add_row(self, vec: Row) -> "RatLattice":
         return RatLattice.from_rows(self.rational_rows() + [vec], self.ncols)
 
-    def adjoin(self, coeffs: list[list[int]], p: int) -> "RatLattice":
-        """The lattice plus (1/p) sum_i c_i b_i for each c in coeffs, b_i the basis.
+    @classmethod
+    def reduced(cls, den: int, rows: list[Row], ncols: int) -> "RatLattice":
+        """(1/den) times the integer row lattice of ``rows``, in canonical form.
 
-        Over den * p the basis is p * rows and each new vector sum_i c_i rows_i.
-        The least denominator divides den * p, so dividing both by their gcd g
-        keeps den least; as hnf(L) / g = hnf(L / g), from_rows of the same
-        vectors returns the same pair.
+        With g the gcd of den and every Hermite entry, den / g is the least
+        denominator; as hnf(L) / g = hnf(L / g), that is the pair from_rows
+        returns for the same vectors.
         """
-        scaled = hnf([[p * v for v in row] for row in self.rows] + [
+        scaled = hnf(rows)
+        g = gcd(den, *(v for row in scaled for v in row))
+        return cls(den // g, [[v // g for v in row] for row in scaled], ncols)
+
+    def adjoin(self, coeffs: list[list[int]], p: int) -> "RatLattice":
+        """The lattice plus (1/p) sum_i c_i b_i for each c in coeffs, b_i the basis:
+        over den * p the basis is p * rows and each new vector sum_i c_i rows_i."""
+        return RatLattice.reduced(self.den * p, [[p * v for v in row] for row in self.rows] + [
             [sum(c * row[j] for c, row in zip(cs, self.rows)) for j in range(self.ncols)]
-            for cs in coeffs])
-        g = gcd(self.den * p, *(v for row in scaled for v in row))
-        return RatLattice(self.den * p // g, [[v // g for v in row] for row in scaled], self.ncols)
+            for cs in coeffs], self.ncols)

@@ -214,7 +214,7 @@ class GroupElement(Record):
     _fields = __slots__ = ("x0", "x")
 
     def __init__(self, x0: Fraction, x: FinVec):
-        object.__setattr__(self, "x0", Fraction(x0))
+        object.__setattr__(self, "x0", x0 if type(x0) is Fraction else Fraction(x0))
         object.__setattr__(self, "x", x if isinstance(x, FinVec) else FinVec(x))
 
     @classmethod

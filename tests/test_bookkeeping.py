@@ -145,6 +145,16 @@ def test_qvec_frozen_indices():
         assert qvec_index(v) == n, v
 
 
+def test_qvec_index_stops_past_its_cap_with_a_lower_bound():
+    vectors = [enum_qvec(n) for n in range(1, 400)] + [FinVec({1: 2, 5: Fraction(-1, 3)})]
+    for v in vectors:
+        full = qvec_index(v)
+        for cap in (1, 10, 1000, full - 1, full):
+            index = qvec_index(v, cap)
+            assert index == full if full <= cap else cap < index <= full, (v, cap)
+    assert 10_000 < qvec_index(FinVec({64: 1}), 10_000) < 10 ** 6  # the full code squares 64 times
+
+
 def test_qvec_index_inverts_enum():
     for v in {enum_qvec(n) for n in range(1, 400)}:
         assert enum_qvec(qvec_index(v)) == v

@@ -294,6 +294,14 @@ def test_certificate_refuses_huge_index_before_enumerating():
     assert out.reason == "certificate-incomplete: bad primes reach 1000000000001"
 
 
+def test_certify_at_position_64_refuses_a_lambda_index_past_the_cap_before_encoding_it():
+    # the full code of e_64 squares 64 times; its tail code past the cap is a lower bound
+    with pytest.raises(CapacityExceededError) as info:
+        certify_free([element(1, {64: 1})])
+    assert (str(info.value), info.value.required, info.value.cap) == (
+        "certificate-incomplete: bad primes reach 124754", 124754, DEFAULT.bad_prime_cap)
+
+
 def test_certificate_lambda_past_the_height_cap_is_refused_before_factoring(monkeypatch):
     # trial division of 10^50 + 1 would not finish; certify refuses the same
     # lambda through qvec_index

@@ -12,6 +12,7 @@ from padicgroup.linalg import (
     bareiss,
     det,
     hnf,
+    identity,
     integer_span_points,
     invert,
     rank,
@@ -249,6 +250,25 @@ def test_integer_span_points_oracle():
     # span contains no integer point except multiples of (2, 3)
     pts = integer_span_points([[F(2, 3), F(1)]], 2)
     assert hnf(pts) == [[2, 3]]
+
+
+@pytest.mark.parametrize("rows", [
+    [[F(1, 2), F(3)], [F(0), F(5, 7)]],
+    [[F(2), F(4), F(-1)], [F(1, 3), F(0), F(2)], [F(0), F(1), F(1)], [F(1), F(1), F(1)]],
+    [[F(int(i == j), j + 2) for j in range(4)] for i in range(4)],
+])
+def test_integer_span_points_of_a_full_rank_span_is_the_standard_basis(rows):
+    ncols = len(rows[0])
+    assert integer_span_points(rows, ncols) == identity(ncols) == hnf(identity(ncols))
+
+
+def test_reduced_lattice_has_the_least_denominator_and_the_hermite_rows():
+    lat = RatLattice.reduced(12, [[6, 0], [0, 4], [12, 8]], 2)
+    assert (lat.den, lat.rows) == (6, [[3, 0], [0, 2]])
+    same = RatLattice.from_rows([[F(6, 12), 0], [0, F(4, 12)], [F(12, 12), F(8, 12)]], 2)
+    assert (same.den, same.rows) == (lat.den, lat.rows)
+    unreduced = RatLattice.reduced(12, [[6, 0], [0, 4], [3, 2]], 2)
+    assert (unreduced.den, unreduced.rows) == (12, [[3, 2], [0, 4]])
 
 
 def test_integer_span_points_against_box_enumeration():

@@ -1,10 +1,13 @@
-"""Kernel saturation in purify against the projective-candidate scan.
+"""Kernel saturation in purify against the projective-candidate scan, and
+the cached per-prime pieces of a full-rank span against the kernel rounds.
 
 The scan below is the algorithm purify used before it computed one F_p
 kernel per round: every projective (1/p)-combination of the current basis
 gets its own membership test, and the first member found is adjoined.
-Both reach the unique fixpoint G meet L[1/p] at each prime, and the
-Hermite basis of that lattice is canonical, so the bases must be equal.
+The rounds below are what purify ran at every prime before a span of all
+of Q^n summed the cached S_p = G meet Z[1/p]^n instead.  All reach the
+unique fixpoint G meet L[1/p] at each prime, and the Hermite basis of that
+lattice is canonical, so the bases must be equal.
 """
 
 import itertools
@@ -15,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from padicgroup.arith import prime_factors, primes_up_to
 from padicgroup.bookkeeping import partition_vector
+from padicgroup import group
 from padicgroup.config import DEFAULT
 from padicgroup.construction import build_context
-from padicgroup.group import element_row, is_member, purify, row_element
-from padicgroup.linalg import RatLattice, integer_span_points
+from padicgroup.errors import CapacityExceededError
+from padicgroup.group import PurifyResult, element_row, is_member, purify, row_element, saturation_kernel
+from padicgroup.linalg import RatLattice, identity, integer_span_points
 from padicgroup.vectors import GroupElement, element
 
 F = Fraction
@@ -108,3 +113,75 @@ def test_bounded_kernel_purify_matches_scan(gens, bound):
     result = purify(gens, bound=bound)
     assert result.status == "complete"
     assert result.basis == scan_purify(gens, bound=bound)
+
+
+def rounds_purify(gens, bound=None, config=DEFAULT) -> dict:
+    """The JSON of purify by kernel rounds at every prime from L, the
+    generators and the integer points of their span, or the refusal's
+    (detail, required, cap).  Needs a generator with nonzero vector part."""
+    k = max(g.x.max_support for g in gens)
+    gen_rows = [element_row(g, k) for g in gens]
+    lat = RatLattice.from_rows(gen_rows + integer_span_points(gen_rows, k + 1), k + 1)
+    if bound is not None:
+        primes, status = prime_factors(bound), "complete"
+    else:
+        primes = sorted(set(primes_up_to(config.purify_prime_cap)) | set(prime_factors(lat.den)))
+        status = "possibly-incomplete"
+    for p in primes:
+        for _ in range(config.purify_round_cap):
+            kernel = saturation_kernel(lat, p, config)
+            if not kernel:
+                break
+            lat = lat.adjoin(kernel, p)
+        else:
+            return {"refused": (f"saturation at prime {p} did not stabilize",
+                                config.purify_round_cap + 1, config.purify_round_cap)}
+    return PurifyResult(tuple(row_element(row, lat.den) for row in lat.rows), status, tuple(primes), bound).to_json()
+
+
+def purify_json(gens, bound=None, config=DEFAULT) -> dict:
+    try:
+        return purify(gens, bound, config).to_json()
+    except CapacityExceededError as exc:
+        return {"refused": (str(exc), exc.required, exc.cap)}
+
+
+@st.composite
+def full_rank_sets(draw):
+    """n = 2..4 generators spanning Q^n, each an integer point plus c*z_p for
+    a prime p <= 31 whose class vector fits the window, with a bound, a prime
+    cap in 5..32 and a round cap (1 and 2 refuse some S_p, and some L)."""
+    n = draw(st.integers(2, 4))
+    k = n - 1
+    fit = [p for p in primes_up_to(31) if partition_vector(p).max_support <= k]
+    gens = []
+    for _ in range(draw(st.integers(n, n + 1))):
+        x = {i: draw(st.integers(-3, 3)) for i in range(1, k + 1)}
+        p = draw(st.sampled_from(fit))
+        gens.append(element(draw(st.integers(-4, 4)), x) + witness_element(p).scale(draw(st.integers(0, p - 1))))
+    if RatLattice.from_rows([element_row(g, k) for g in gens], n).dim < n:
+        gens += [element(1, {})] + [element(0, {i: 1}) for i in range(1, n)]
+    config = DEFAULT.replace(purify_prime_cap=draw(st.integers(5, 32)),
+                             purify_round_cap=draw(st.sampled_from([1, 2, 64])))
+    return gens, draw(st.sampled_from([None, 2, 6, 30])), config
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_sets())
+def test_full_rank_purify_from_cached_pieces_matches_the_rounds(case):
+    gens, bound, config = case
+    assert purify_json(gens, bound, config) == rounds_purify(gens, bound, config)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cached_pieces_are_saturated_group_lattices_holding_the_integer_points(n):
+    for p in primes_up_to(31):
+        piece = group._unit_saturation(p, n, DEFAULT)
+        assert set(prime_factors(piece.den)) <= {p}
+        assert saturation_kernel(piece, p) == []
+        assert all(is_member(row_element(row, piece.den)) for row in piece.rows)
+        units = [[piece.den * v for v in e] for e in identity(n)]
+        summed = RatLattice.reduced(piece.den, piece.rows + units, n)
+        assert (summed.den, summed.rows) == (piece.den, piece.rows)
+        if partition_vector(p).max_support < n:  # z_p lies in the piece
+            assert piece.den % p == 0

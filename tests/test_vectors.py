@@ -10,6 +10,13 @@ from padicgroup.group import MembershipVerdict, membership, purify
 from padicgroup.vectors import FinVec, GroupElement, element
 
 
+def test_group_element_keeps_a_fraction_and_converts_the_rest():
+    q = Fraction(3, 7)
+    assert GroupElement(q, FinVec()).x0 is q
+    assert type(GroupElement(3, FinVec()).x0) is Fraction
+    assert GroupElement(True, FinVec()).x0 == 1 and type(GroupElement(True, FinVec()).x0) is Fraction
+
+
 def test_zero_entries_are_dropped():
     v = FinVec({1: 0, 2: Fraction(3), 5: Fraction(0)})
     assert v.support == (2,)
