@@ -210,6 +210,16 @@ def _unit_saturation(p: int, n: int, config: Config) -> linalg.RatLattice | None
         return None
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _unit_closure(primes: tuple[int, ...], n: int, config: Config):
+    """G meet Z[1/P]^n = Z^n + sum of S_p over P as (lattice, basis), or None if an S_p passes the round cap."""
+    pieces = [_unit_saturation(p, n, config) for p in primes]
+    if any(piece is None for piece in pieces):
+        return None
+    lat = _lattice_sum([linalg.RatLattice(1, linalg.identity(n), n)] + [s for s in pieces if s.den > 1])
+    return lat, tuple(row_element(row, lat.den) for row in lat.rows)
+
+
 def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyResult:
     """Pure closure of the subgroup generated by gens, as a lattice basis.
 
@@ -217,15 +227,16 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
     their rational span (integer vectors are always members), then saturates
     at each candidate prime p to the unique fixpoint G meet L[1/p], whose
     Hermite basis is canonical: by the rounds of _saturate when the span is
-    lower rank.  A span of all of Q^n has L containing Z^n, so L[1/p] = L +
-    Z[1/p]^n and G meet L[1/p] = L + S_p, S_p = G meet Z[1/p]^n cached per
-    (p, n, config): one Hermite reduction sums L and the nontrivial S_p.
+    lower rank.  A span of all of Q^n has Z^n in L; L / Z^n has exponent den,
+    the generators' least denominator, and its q-part lies in G meet Z[1/q]^n
+    = S_q.  So G meet L[1/P] is L plus the cached closure Z^n + sum of S_p
+    over P (_unit_closure), and is that closure once P holds den's primes.
     With a certified bound D the candidate primes are exactly the divisors
     of D and the fixpoint is the full pure closure; otherwise primes up to
     the configured cap are probed and the result is marked
     possibly-incomplete.  A factor of D past the prime cap is refused before
-    any round; trial division stops at the cap.  A prime whose S_p passes
-    the round cap runs the rounds on L, so a refusal names the same prime.
+    any round; trial division stops at the cap.  When some S_p passes the
+    round cap, the rounds run on L, so a refusal names the same prime.
     """
     if bound is not None and bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -243,23 +254,24 @@ def purify(gens, bound: int | None = None, config: Config = DEFAULT) -> PurifyRe
     if k == 0:
         # span lies on the axis; its members are exactly the integer points
         return PurifyResult(tuple(map(row_element, int_rows)), "complete", (), bound)
-    lat = linalg.RatLattice.from_rows(gen_rows + int_rows, ncols)
+    den = lcm(*(g.denominator_lcm() for g in nonzero))
 
     if bound is not None:
         primes = prime_factors(bound, config.prime_cap)
         status = "complete"
     else:
-        primes = sorted(set(primes_up_to(config.purify_prime_cap)) | set(prime_factors(lat.den)))
+        primes = sorted(set(primes_up_to(config.purify_prime_cap)) | set(prime_factors(den)))
         status = "possibly-incomplete"
 
-    pieces = [lat]
-    for p in primes:
-        piece = _unit_saturation(p, ncols, config) if lat.dim == ncols else None
-        if piece is None:  # a lower-rank span, or S_p past the round cap: rounds on the sum so far
-            pieces = [_saturate(_lattice_sum(pieces), p, config)]
-        elif piece.den > 1:
-            pieces.append(piece)
-    lat = _lattice_sum(pieces)
+    closure = _unit_closure(tuple(primes), ncols, config) if len(int_rows) == ncols else None
+    if closure and (bound is None or pow(bound, den.bit_length(), den) == 0):  # every prime of den divides D
+        return PurifyResult(closure[1], status, tuple(primes), bound)
+    lat = linalg.RatLattice.from_rows(gen_rows + int_rows, ncols)
+    if closure:
+        lat = _lattice_sum([lat, closure[0]])
+    else:  # a lower-rank span, or some S_p past the round cap
+        for p in primes:
+            lat = _saturate(lat, p, config)
     return PurifyResult(tuple(row_element(row, lat.den) for row in lat.rows), status, tuple(primes), bound)
 
 

@@ -140,6 +140,15 @@ def test_member_failure_at_the_third_denominator_prime_is_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == "ae2f37ac8ee0811829a406928cb2bed622ba3f8d0c51b1b03ce5cf28882247fd"
 
 
+def test_full_rank_purify_with_a_denominator_prime_past_the_prime_cap_is_pinned():
+    # 37 > purify_prime_cap = 32 is probed because it divides the generators' denominator
+    code, out = run("purify", '[{"x0": "-3/37", "x": {"1": "-1/37", "2": "-1/37"}}, '
+                              '{"x0": "0", "x": {"1": "1"}}, {"x0": "0", "x": {"2": "1"}}]')
+    assert code == 0
+    assert json.loads(out)["probed"][-2:] == [31, 37]
+    assert hashlib.sha256(out.encode()).hexdigest() == "dd9bff7fb27ee03779fe143641eb64e2e14ff4469cd78ecc4efe279b3128461e"
+
+
 def test_witness_multi_prime_default():
     code, out = run("witness", E_MINUS)
     assert code == 0

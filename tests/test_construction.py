@@ -581,6 +581,7 @@ def test_caches_are_bounded():
     assert condition_block.cache_info().maxsize == 1 << 12
     assert group._conditions.cache_info().maxsize == 1 << 12
     assert group._unit_saturation.cache_info().maxsize == 1 << 12
+    assert group._unit_closure.cache_info().maxsize == 1 << 12
 
 
 def test_blocks_on_a_window_are_truncated_full_blocks():

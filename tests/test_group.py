@@ -672,7 +672,8 @@ def purify_rounds(gens, bound=None, config=DEFAULT) -> list[tuple[RatLattice, in
         rounds.append((lat, p))
         return saturation_kernel(lat, p, config)
 
-    group_module._unit_saturation.cache_clear()  # a full-rank span runs its rounds on a cache miss only
+    group_module._unit_closure.cache_clear()  # a full-rank span runs its rounds on a cache miss only
+    group_module._unit_saturation.cache_clear()
     with mock.patch.object(group_module, "saturation_kernel", recording):
         purify(gens, bound, config)
     return rounds

@@ -1,24 +1,26 @@
 """Kernel saturation in purify against the projective-candidate scan, and
-the cached per-prime pieces of a full-rank span against the kernel rounds.
+the cached closure of a full-rank span against the kernel rounds.
 
 The scan below is the algorithm purify used before it computed one F_p
 kernel per round: every projective (1/p)-combination of the current basis
 gets its own membership test, and the first member found is adjoined.
 The rounds below are what purify ran at every prime before a span of all
-of Q^n summed the cached S_p = G meet Z[1/p]^n instead.  All reach the
-unique fixpoint G meet L[1/p] at each prime, and the Hermite basis of that
-lattice is canonical, so the bases must be equal.
+of Q^n took the cached Z^n + sum of S_p, S_p = G meet Z[1/p]^n, instead.
+All reach the unique fixpoint G meet L[1/p] at each prime, and the Hermite
+basis of that lattice is canonical, so the bases must be equal.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicgroup.arith import prime_factors, primes_up_to
 from padicgroup.bookkeeping import partition_vector
-from padicgroup import group
+from padicgroup import group, linalg
 from padicgroup.config import DEFAULT
 from padicgroup.construction import build_context
 from padicgroup.errors import CapacityExceededError
@@ -185,3 +187,53 @@ def test_cached_pieces_are_saturated_group_lattices_holding_the_integer_points(n
         assert (summed.den, summed.rows) == (piece.den, piece.rows)
         if partition_vector(p).max_support < n:  # z_p lies in the piece
             assert piece.den % p == 0
+
+
+def unit_gens(n: int) -> list[GroupElement]:
+    return [element(1, {})] + [element(0, {i: 1}) for i in range(1, n)]
+
+
+@st.composite
+def member_sets_on_one_prime_set(draw):
+    """n = 2..4, a prime cap and a bound (None, or the product of the primes
+    up to the cap), and two full-rank member sets whose denominators have
+    primes only within the cap, so both probe the same primes: Z^n's basis,
+    and integer points plus c*z_p with their span completed by Z^n."""
+    n = draw(st.integers(2, 4))
+    cap = draw(st.sampled_from([5, 7, 11, 13]))
+    fit = [p for p in primes_up_to(cap) if partition_vector(p).max_support < n]
+    gens = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        g = element(draw(st.integers(-4, 4)), {i: draw(st.integers(-3, 3)) for i in range(1, n)})
+        for p in draw(st.lists(st.sampled_from(fit), max_size=2)):
+            g = g + witness_element(p).scale(draw(st.integers(1, p - 1)))
+        gens.append(g)
+    bound = draw(st.sampled_from([None, math.prod(primes_up_to(cap))]))
+    return n, fit, [unit_gens(n), gens + unit_gens(n)], bound, DEFAULT.replace(purify_prime_cap=cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(member_sets_on_one_prime_set())
+def test_full_rank_purify_depends_on_the_probed_primes_only(case):
+    # G meet L[1/P] = Z^n + sum of S_p once P holds the primes of L's
+    # denominator, whatever the generators: the closure of Z^n and each z_p
+    n, fit, sets, bound, config = case
+    oracle = rounds_purify(unit_gens(n) + [witness_element(p) for p in fit], bound, config)
+    assert [purify_json(gens, bound, config) for gens in sets] == [oracle] * len(sets)
+    with mock.patch.object(linalg, "hnf", side_effect=AssertionError("a warm closure runs no Hermite reduction")):
+        assert [purify_json(gens, bound, config) for gens in sets] == [oracle] * len(sets)
+
+
+def test_unit_closure_is_none_exactly_when_a_piece_passes_the_round_cap():
+    outcomes = set()
+    for n, round_cap, cap in itertools.product([2, 3, 4], [1, 2, 3], [5, 13, 31]):
+        config = DEFAULT.replace(purify_prime_cap=cap, purify_round_cap=round_cap)
+        primes = tuple(primes_up_to(cap))
+        refused = any(group._unit_saturation(p, n, config) is None for p in primes)
+        assert (group._unit_closure(primes, n, config) is None) == refused
+        fit = [p for p in primes if partition_vector(p).max_support < n]
+        gens = unit_gens(n) + [witness_element(p) for p in fit]
+        result = purify_json(gens, config=config)
+        assert result == rounds_purify(gens, config=config)
+        outcomes.add((refused, "refused" in result))
+    assert outcomes == {(False, False), (True, False), (True, True)}
